@@ -37,7 +37,6 @@
 #include "dict/dictionary.hpp"
 #include "dict/sharded.hpp"
 #include "persist/shard_checkpoint.hpp"
-#include "persist/snapshot.hpp"
 #include "ra/agent.hpp"
 #include "ra/service.hpp"
 #include "ra/updater.hpp"
@@ -510,8 +509,9 @@ int main() {
   // dirt fraction the incremental-checkpoint gate uses): with background
   // checkpoints every ~30s a restart sees at most a few periods of tail,
   // and tail replay cost scales with dictionary size, not tail size alone.
-  // A second pass restores the same state from a v1 (streaming) and a v2
-  // (mmap) snapshot with no tail to isolate the format-v2 restart win.
+  // A second pass restores the same state from the CA's cold-start object
+  // (decode + re-hash) and from the mmap snapshot, with no tail, to isolate
+  // the zero-copy restart win.
   std::uint64_t kRecEntries = 1'000'000;
   constexpr std::size_t kRecBatch = 1000;
   constexpr std::uint64_t kRecTailPeriods = 10;
@@ -524,7 +524,7 @@ int main() {
   }
   double recovery_replay_ms = 0, recovery_recover_ms = 0;
   double recovery_speedup = 0;
-  double recovery_v1_restore_ms = 0, recovery_v2_restore_ms = 0;
+  double recovery_rehash_restore_ms = 0, recovery_v2_restore_ms = 0;
   double recovery_mmap_speedup = 0;
   std::uint64_t recovery_periods = 0;
   double checkpoint_stall_us = 0, checkpoint_max_stall_us = 0;
@@ -607,46 +607,45 @@ int main() {
                 equal ? "identical" : "DIVERGED!");
     if (!equal) return 1;
 
-    // v1 vs v2 restore on identical state, no WAL tail: the v1 path
-    // deserializes and re-hashes every entry, the v2 path mmaps the file
-    // and adopts the arenas in place.
-    const std::string dir_v1 = "persist-bench-v1";
-    const std::string dir_v2 = "persist-bench-v2";
-    std::filesystem::remove_all(dir_v1);
-    std::filesystem::remove_all(dir_v2);
-    {
-      ByteWriter w;
-      cold_store.snapshot_into(w);
-      persist::SnapshotFile::write(dir_v1, 1, ByteSpan(w.bytes()));
-    }
-    cold_store.persist_to(dir_v2);
+    // Rehash vs mmap restore on identical state, no WAL tail: the
+    // reference decodes the CA's cold-start object and re-hashes every
+    // entry (Dictionary::restore_from plus a signed-root verify, via
+    // bootstrap_replica); the snapshot path mmaps the file and adopts the
+    // arenas in place.
+    const std::string dir_snap = "persist-bench-snap";
+    std::filesystem::remove_all(dir_snap);
+    cold_store.persist_to(dir_snap);
+    const ca::ColdStartObject cold_obj =
+        rca.cold_start_object(recovery_periods - 1, now_s);
     bool restore_equal = false;
     {
-      ra::DictionaryStore v1_store;
-      v1_store.register_ca(rca.id(), rca.public_key(), kDelta);
+      ra::DictionaryStore rehash_store;
+      rehash_store.register_ca(rca.id(), rca.public_key(), kDelta);
       start = std::chrono::steady_clock::now();
-      const auto v1_report = v1_store.recover_from(dir_v1);
-      recovery_v1_restore_ms =
+      const auto rehash_result = rehash_store.bootstrap_replica(
+          rca.id(), ByteSpan(cold_obj.dict_snapshot), cold_obj.signed_root,
+          cold_obj.freshness, now_s);
+      recovery_rehash_restore_ms =
           ms_of(std::chrono::steady_clock::now() - start);
-      ra::DictionaryStore v2_store;
-      v2_store.register_ca(rca.id(), rca.public_key(), kDelta);
+      ra::DictionaryStore snap_store;
+      snap_store.register_ca(rca.id(), rca.public_key(), kDelta);
       start = std::chrono::steady_clock::now();
-      const auto v2_report = v2_store.recover_from(dir_v2);
+      const auto snap_report = snap_store.recover_from(dir_snap);
       recovery_v2_restore_ms =
           ms_of(std::chrono::steady_clock::now() - start);
-      recovery_mmap_speedup = recovery_v1_restore_ms / recovery_v2_restore_ms;
-      restore_equal = v1_report.ok && v2_report.ok &&
-                      v2_store.have_n(rca.id()) == kRecEntries &&
-                      v1_store.root_of(rca.id())->encode() ==
-                          v2_store.root_of(rca.id())->encode();
+      recovery_mmap_speedup =
+          recovery_rehash_restore_ms / recovery_v2_restore_ms;
+      restore_equal = rehash_result == ra::ApplyResult::ok && snap_report.ok &&
+                      snap_store.have_n(rca.id()) == kRecEntries &&
+                      rehash_store.root_of(rca.id())->encode() ==
+                          snap_store.root_of(rca.id())->encode();
     }
-    std::printf("restore only: v1 streaming %.1f ms -> v2 mmap %.1f ms "
-                "(%.1fx); states %s\n",
-                recovery_v1_restore_ms, recovery_v2_restore_ms,
+    std::printf("restore only: cold-start decode+rehash %.1f ms -> mmap "
+                "snapshot %.1f ms (%.1fx); states %s\n",
+                recovery_rehash_restore_ms, recovery_v2_restore_ms,
                 recovery_mmap_speedup,
                 restore_equal ? "identical" : "DIVERGED!");
-    std::filesystem::remove_all(dir_v1);
-    std::filesystem::remove_all(dir_v2);
+    std::filesystem::remove_all(dir_snap);
     if (!restore_equal) return 1;
 
     // Background checkpointing stall: cycles run on the recovered replica
@@ -1224,7 +1223,7 @@ int main() {
                  "    \"full_replay_ms\": %.1f,\n"
                  "    \"snapshot_wal_ms\": %.1f,\n"
                  "    \"speedup\": %.2f,\n"
-                 "    \"v1_restore_ms\": %.1f,\n"
+                 "    \"rehash_restore_ms\": %.1f,\n"
                  "    \"v2_restore_ms\": %.1f,\n"
                  "    \"mmap_speedup\": %.2f\n"
                  "  },\n"
@@ -1289,7 +1288,7 @@ int main() {
                  (unsigned long long)recovery_periods,
                  (unsigned long long)kRecTailPeriods, recovery_replay_ms,
                  recovery_recover_ms, recovery_speedup,
-                 recovery_v1_restore_ms, recovery_v2_restore_ms,
+                 recovery_rehash_restore_ms, recovery_v2_restore_ms,
                  recovery_mmap_speedup,
                  (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                  checkpoint_max_stall_us,
@@ -1353,8 +1352,8 @@ int main() {
                 "feed replay (acceptance floor: 10x)\n", recovery_speedup);
   }
   if (recovery_mmap_speedup < 3.0) {
-    std::printf("WARNING: format-v2 mmap restore only %.1fx faster than the "
-                "v1 streaming restore (acceptance floor: 3x)\n",
+    std::printf("WARNING: mmap snapshot restore only %.1fx faster than the "
+                "cold-start decode+rehash restore (acceptance floor: 3x)\n",
                 recovery_mmap_speedup);
   }
   if (checkpoint_stall_us > 5000.0) {

@@ -9,7 +9,9 @@ SerialNumber SerialNumber::from_uint(std::uint64_t v, std::size_t width) {
     throw std::invalid_argument("SerialNumber width out of range");
   }
   Bytes out(width);
-  for (std::size_t i = 0; i < width; ++i) {
+  // Big-endian, zero-padded: bytes past the 8 of a u64 stay zero (a shift
+  // by 64 or more is undefined).
+  for (std::size_t i = 0; i < width && i < 8; ++i) {
     out[width - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
   return SerialNumber{std::move(out)};

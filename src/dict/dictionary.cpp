@@ -346,7 +346,8 @@ std::vector<Entry> Dictionary::entries_from(std::uint64_t first_number) const {
   return out;
 }
 
-// Snapshot wire format v1 (big-endian, length-prefixed):
+// Compact wire codec (big-endian, length-prefixed) of cold-start objects and
+// WAL bootstrap records:
 //   u8  version
 //   u64 epoch
 //   u64 n
@@ -459,7 +460,12 @@ void Dictionary::restore_sections(const DictSections& s,
     *this = std::move(fresh);
     return;
   }
-  if (s.log.size() != n * sizeof(LogRecord)) throw bad("log section size");
+  // Divide rather than multiply: n comes from the file, and n * 24 can wrap
+  // to a small size (n = 2^63 + m matches an m-record section otherwise).
+  if (s.log.size() % sizeof(LogRecord) != 0 ||
+      s.log.size() / sizeof(LogRecord) != n) {
+    throw bad("log section size");
+  }
   if (s.sorted.size() != n * sizeof(std::uint32_t)) {
     throw bad("sorted section size");
   }

@@ -258,116 +258,6 @@ std::size_t TreapProof::wire_size() const noexcept {
   return total;
 }
 
-// Snapshot wire format v1: u8 version, u64 size, the node structure in
-// pre-order (u8 marker: 0 = null, 1 = node, then var8 serial + u64 number +
-// 20B stored priority), and 20B recorded root. Priorities are H(serial) by
-// construction but are stored so the restore performs no per-entry hashing;
-// the single bottom-up rehash pass that checks the recorded root is the
-// only hashing a load pays.
-constexpr std::uint8_t kTreapSnapshotVersion = 1;
-// Pre-order depth bound: a canonical treap of 2^64 entries has expected
-// depth under ~90, so a snapshot claiming deeper nesting is corrupt (and
-// must not be allowed to exhaust the parser's stack).
-constexpr std::size_t kTreapMaxRestoreDepth = 512;
-
-void MerkleTreap::snapshot_into(ByteWriter& w) const {
-  w.u8(kTreapSnapshotVersion);
-  w.u64(size_);
-  std::vector<const Node*> stack;
-  stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node == nullptr) {
-      w.u8(0);
-      continue;
-    }
-    w.u8(1);
-    encode_entry(w, node->entry);
-    w.raw(ByteSpan(node->priority.data(), node->priority.size()));
-    // Pre-order: left subtree streams first.
-    stack.push_back(node->right.get());
-    stack.push_back(node->left.get());
-  }
-  const crypto::Digest20 current_root = root();
-  w.raw(ByteSpan(current_root));
-}
-
-std::unique_ptr<MerkleTreap::Node> MerkleTreap::restore_node(
-    ByteReader& r, std::size_t depth, const cert::SerialNumber* lo,
-    const cert::SerialNumber* hi, std::uint64_t& count) {
-  const auto bad = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(std::string("MerkleTreap::restore_from: ") +
-                              what);
-  };
-  const auto marker = r.try_u8();
-  if (!marker || *marker > 1) throw bad("bad node marker");
-  if (*marker == 0) return nullptr;
-  if (depth >= kTreapMaxRestoreDepth) throw bad("nesting too deep");
-
-  auto node = std::make_unique<Node>();
-  auto entry = decode_entry(r);
-  if (!entry) throw bad("bad entry");
-  node->entry = std::move(*entry);
-  auto priority = decode_digest(r);
-  if (!priority) throw bad("truncated priority");
-  node->priority = *priority;
-  // BST invariant: the serial must lie strictly between the tightest
-  // enclosing ancestors' serials.
-  if ((lo != nullptr && cmp(node->entry.serial, *lo) <= 0) ||
-      (hi != nullptr && cmp(node->entry.serial, *hi) >= 0)) {
-    throw bad("BST order violation");
-  }
-  ++count;
-
-  node->left = restore_node(r, depth + 1, lo, &node->entry.serial, count);
-  node->right = restore_node(r, depth + 1, &node->entry.serial, hi, count);
-  // Heap invariant: a child's priority never exceeds its parent's (insert
-  // rotates exactly when it would).
-  for (const Node* child : {node->left.get(), node->right.get()}) {
-    if (child != nullptr &&
-        ritm::compare(ByteSpan(child->priority.data(), 20),
-                      ByteSpan(node->priority.data(), 20)) > 0) {
-      throw bad("priority heap violation");
-    }
-  }
-  rehash(*node);  // children restored first, so one bottom-up pass total
-  return node;
-}
-
-void MerkleTreap::restore_from(ByteReader& r) {
-  const auto bad = [](const char* what) -> std::runtime_error {
-    return std::runtime_error(std::string("MerkleTreap::restore_from: ") +
-                              what);
-  };
-  if (r.try_u8().value_or(0xFF) != kTreapSnapshotVersion) {
-    throw bad("unsupported snapshot version");
-  }
-  const auto size = r.try_u64();
-  if (!size) throw bad("truncated header");
-  // Each node costs at least 12 bytes on the wire; reject forged counts.
-  if (*size > r.remaining() / 12) throw bad("node count exceeds input");
-
-  std::uint64_t count = 0;
-  const std::uint64_t rehashed_before = rehashed_;
-  try {
-    std::unique_ptr<Node> root = restore_node(r, 0, nullptr, nullptr, count);
-    if (count != *size) throw bad("node count mismatch");
-    const auto root_bytes = r.try_raw(20);
-    if (!root_bytes) throw bad("truncated root");
-    crypto::Digest20 recorded{};
-    std::copy(root_bytes->begin(), root_bytes->end(), recorded.begin());
-    if ((root ? root->hash : empty_root()) != recorded) {
-      throw bad("recorded root mismatch");
-    }
-    root_ = std::move(root);
-    size_ = *size;
-  } catch (...) {
-    rehashed_ = rehashed_before;  // a failed restore is not an insert's work
-    throw;
-  }
-}
-
 Bytes TreapProof::encode() const {
   Bytes out;
   out.reserve(wire_size());

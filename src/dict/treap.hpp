@@ -20,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/io.hpp"
 #include "dict/proof.hpp"
 
 namespace ritm::dict {
@@ -88,19 +87,6 @@ class MerkleTreap {
   /// Number of nodes rehashed by the last insert() call (ablation metric).
   std::uint64_t last_rehash_count() const noexcept { return rehashed_; }
 
-  /// Serializes the treap (versioned: size, the node structure in pre-order
-  /// with each entry and its stored priority, and the current root) into
-  /// `w` — the treap-backend snapshot payload of the persistence layer.
-  /// Storing priorities keeps the restore free of per-entry hashing.
-  void snapshot_into(ByteWriter& w) const;
-
-  /// Restores a snapshot_into() encoding: rebuilds the node structure
-  /// directly (validating BST order and the priority heap invariant), then
-  /// recomputes subtree hashes bottom-up in one pass and checks the root
-  /// against the snapshot's recorded root. Throws std::runtime_error on
-  /// malformed input, leaving this instance untouched.
-  void restore_from(ByteReader& r);
-
  private:
   struct Node {
     Entry entry;
@@ -111,12 +97,6 @@ class MerkleTreap {
 
   static const crypto::Digest20& null_hash();
   void rehash(Node& node);
-  /// Recursive half of restore_from: parses one pre-order subtree within
-  /// the serial bounds (lo, hi), bounded by `depth`, counting nodes.
-  std::unique_ptr<Node> restore_node(ByteReader& r, std::size_t depth,
-                                     const cert::SerialNumber* lo,
-                                     const cert::SerialNumber* hi,
-                                     std::uint64_t& count);
   std::unique_ptr<Node> insert_node(std::unique_ptr<Node> root,
                                     std::unique_ptr<Node> node);
   std::unique_ptr<Node> rotate_left(std::unique_ptr<Node> node);

@@ -1,29 +1,6 @@
 #include "persist/recovery.hpp"
 
-#include <algorithm>
-
 namespace ritm::persist {
-
-RecoveryResult Recovery::recover(const std::string& dir) {
-  RecoveryResult result;
-
-  if (auto loaded = SnapshotFile::load_newest(dir, &result.snapshots_skipped)) {
-    result.have_snapshot = true;
-    result.snapshot_seq = loaded->seq;
-    result.snapshot = std::move(loaded->payload);
-  }
-
-  WalScan scan = WriteAheadLog::scan_file(wal_path(dir));
-  result.wal_truncated_bytes = scan.truncated_bytes;
-  // Records already covered by the snapshot are dropped; the rest replay on
-  // top of it. (A snapshot stamped past the whole log — e.g. the crash hit
-  // between the snapshot commit and the WAL reset — yields an empty tail.)
-  result.tail.reserve(scan.records.size());
-  for (auto& rec : scan.records) {
-    if (rec.seq > result.snapshot_seq) result.tail.push_back(std::move(rec));
-  }
-  return result;
-}
 
 MappedRecovery Recovery::recover_mapped(const std::string& dir) {
   MappedRecovery result;
@@ -33,6 +10,9 @@ MappedRecovery Recovery::recover_mapped(const std::string& dir) {
 
   WalScan scan = WriteAheadLog::scan_file(wal_path(dir));
   result.wal_truncated_bytes = scan.truncated_bytes;
+  // Records already covered by the snapshot are dropped; the rest replay on
+  // top of it. (A snapshot stamped past the whole log — e.g. the crash hit
+  // between the snapshot commit and the WAL reset — yields an empty tail.)
   result.tail.reserve(scan.records.size());
   for (auto& rec : scan.records) {
     if (rec.seq > snapshot_seq) result.tail.push_back(std::move(rec));

@@ -1,14 +1,14 @@
-// Recovery driver: snapshot + WAL tail -> the state to restore (PR 4).
+// Recovery scan: snapshot + WAL tail -> the state to restore.
 //
 // A persistence directory holds one write-ahead log ("wal.log") and a small
 // set of snapshot files (snapshot.hpp). Recovery is the read side of the
-// contract between them: load the newest valid snapshot, then hand back the
+// contract between them: map the newest valid snapshot, then hand back the
 // WAL records with seq greater than the snapshot's stamp — the "tail" the
 // caller replays through its normal apply path. Torn final writes are
 // detected by the WAL scan and reported (open()ing the log for appending
 // afterwards truncates them in place).
 //
-// The driver itself is state-agnostic: it never decodes payloads. The
+// The scan itself is state-agnostic: it never decodes sections. The
 // replaying layer (ra::DictionaryStore::recover_from) owns the record types
 // and the acceptance rules, so recovery literally *is* replay — the same
 // code path that applied a mutation live applies it again on restart, which
@@ -26,18 +26,9 @@
 
 namespace ritm::persist {
 
-struct RecoveryResult {
-  bool have_snapshot = false;
-  std::uint64_t snapshot_seq = 0;
-  Bytes snapshot;                 // newest valid snapshot payload
-  std::vector<WalRecord> tail;    // valid WAL records with seq > snapshot_seq
-  std::uint64_t wal_truncated_bytes = 0;  // torn/corrupt tail detected
-  std::uint64_t snapshots_skipped = 0;    // corrupt snapshot files passed over
-};
-
-/// Zero-copy recovery scan (format v2, PR 9): the snapshot stays mapped
-/// instead of being read into a buffer, so the caller can adopt arena
-/// sections in place. A v1 snapshot surfaces as one kLegacySection view.
+/// The result of a recovery scan. The snapshot stays mapped instead of
+/// being read into a buffer, so the caller can adopt arena sections in
+/// place.
 struct MappedRecovery {
   std::optional<SnapshotFile::Mapped> snapshot;
   std::vector<WalRecord> tail;    // valid WAL records with seq > snapshot seq
@@ -54,16 +45,12 @@ class Recovery {
     return dir + "/" + kWalName;
   }
 
-  /// Read-only recovery scan of `dir`: newest valid snapshot plus the WAL
-  /// tail past it. Never modifies the directory — callers that intend to
-  /// keep appending open the WAL afterwards, which truncates any torn tail
+  /// Read-only recovery scan of `dir`: the newest valid snapshot as a live
+  /// mapping (SnapshotFile::map_newest) plus the WAL tail past it. The
+  /// mapping must be kept alive for as long as any adopted section is in
+  /// use. Never modifies the directory — callers that intend to keep
+  /// appending open the WAL afterwards, which truncates any torn tail
   /// reported here.
-  static RecoveryResult recover(const std::string& dir);
-
-  /// Same scan, but the snapshot is returned as a live mapping
-  /// (SnapshotFile::map_newest) whose sections the caller adopts without
-  /// copying. The mapping must be kept alive for as long as any adopted
-  /// section is in use.
   static MappedRecovery recover_mapped(const std::string& dir);
 };
 

@@ -1,7 +1,10 @@
 #include "persist/sections.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
@@ -12,11 +15,16 @@ namespace ritm::persist {
 
 namespace {
 
+[[noreturn]] void fail(const std::string& what) {
+  throw std::runtime_error("persist: " + what + ": " + std::strerror(errno));
+}
+
 void write_fd(int fd, const std::uint8_t* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::write(fd, data, len);
     if (n < 0) {
-      throw std::runtime_error("persist::write_container: write failed");
+      if (errno == EINTR) continue;
+      fail("write");
     }
     data += static_cast<std::size_t>(n);
     len -= static_cast<std::size_t>(n);
@@ -125,6 +133,51 @@ std::optional<std::vector<SectionView>> parse_container(ByteSpan data) {
     out.push_back(view);
   }
   return out;
+}
+
+const SectionView* find_section(const std::vector<SectionView>& sections,
+                                std::uint32_t tag) noexcept {
+  for (const SectionView& s : sections) {
+    if (s.tag == tag) return &s;
+  }
+  return nullptr;
+}
+
+std::uint64_t commit_container_file(const std::string& dir,
+                                    const std::string& name, ByteSpan header,
+                                    const std::vector<SectionSpec>& sections,
+                                    bool sync_dir) {
+  const std::string final_path = dir + "/" + name;
+  const std::string tmp_path = final_path + ".tmp";
+  const int fd =
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) fail("open " + tmp_path);
+  std::uint64_t total = header.size();
+  try {
+    write_fd(fd, header.data(), header.size());
+    total += write_container(fd, sections);
+  } catch (const std::exception&) {
+    ::close(fd);
+    throw;
+  }
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    fail("fsync " + tmp_path);
+  }
+  if (::close(fd) != 0) fail("close " + tmp_path);
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    fail("rename " + tmp_path);
+  }
+  if (sync_dir) fsync_dir(dir);
+  return total;
+}
+
+void fsync_dir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail("open " + dir + " for fsync");
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) fail("fsync " + dir);
 }
 
 }  // namespace ritm::persist

@@ -1,12 +1,12 @@
-// Section container: the fixed-layout, mmap-ready payload of snapshot
-// format v2 (and of per-shard checkpoint files).
+// Section container: the fixed-layout, mmap-ready payload of snapshot files
+// (and of per-shard checkpoint files).
 //
 // A container is a section directory followed by 64-byte-aligned sections,
 // each CRC-guarded independently so a reader can validate without copying:
 //
 //   u32 endian_tag     host-native byte order; a foreign-endian file fails
-//                      the tag check and the caller falls back to the v1
-//                      streaming path instead of misreading raw arenas
+//                      the tag check and is rejected as corrupt instead of
+//                      having its raw arenas misread
 //   u32 section_count  big-endian
 //   u32 dir_crc        big-endian CRC32 over the directory entry bytes
 //   u32 reserved       zero
@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -67,5 +68,25 @@ std::uint64_t write_container(int fd, const std::vector<SectionSpec>& sections);
 /// bounds, alignment, and every per-section CRC. Returns nullopt on any
 /// violation — the caller treats the whole file as unusable and falls back.
 std::optional<std::vector<SectionView>> parse_container(ByteSpan data);
+
+/// The first section in `sections` tagged `tag`, or nullptr.
+const SectionView* find_section(const std::vector<SectionView>& sections,
+                                std::uint32_t tag) noexcept;
+
+/// Atomically commits `header` (a multiple of kSectionAlign bytes, so the
+/// container starts aligned) followed by a container of `sections` as
+/// `dir`/`name`: writes `name`.tmp in full, fsyncs it, renames it over
+/// `name`, then fsyncs `dir` unless `sync_dir` is false (callers that
+/// commit a batch of files fsync the directory once via fsync_dir).
+/// Returns the file's size in bytes. Throws std::runtime_error on I/O
+/// failure; a leftover .tmp is ignored by every reader.
+std::uint64_t commit_container_file(const std::string& dir,
+                                    const std::string& name, ByteSpan header,
+                                    const std::vector<SectionSpec>& sections,
+                                    bool sync_dir = true);
+
+/// fsyncs directory `dir`, making the renames inside it durable. Throws
+/// std::runtime_error on failure.
+void fsync_dir(const std::string& dir);
 
 }  // namespace ritm::persist

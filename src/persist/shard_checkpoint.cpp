@@ -1,22 +1,16 @@
 #include "persist/shard_checkpoint.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "persist/snapshot.hpp"
 
@@ -35,11 +29,6 @@ constexpr std::uint32_t kTagMeta = 1;
 constexpr std::uint32_t kTagLog = 2;
 constexpr std::uint32_t kTagSorted = 3;
 constexpr std::uint32_t kTagTree = 4;
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("ShardCheckpointer: " + what + ": " +
-                           std::strerror(errno));
-}
 
 std::string shard_name(std::uint64_t key, std::uint64_t epoch) {
   char buf[64];
@@ -73,27 +62,6 @@ std::optional<std::pair<std::uint64_t, std::uint64_t>> parse_shard_name(
   return std::make_pair(*key, *epoch);
 }
 
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail("open dir for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) fail("fsync dir");
-}
-
-void write_fd_full(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      fail("write shard");
-    }
-    data += static_cast<std::size_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
 /// Writes one shard file (tmp -> fsync -> rename; the directory fsync is
 /// batched by the caller). Returns the file's size in bytes.
 std::uint64_t write_shard(const std::string& dir, std::uint64_t key,
@@ -116,29 +84,13 @@ std::uint64_t write_shard(const std::string& dir, std::uint64_t key,
   std::memcpy(header + sizeof(kShardMagic), hw.bytes().data(),
               hw.bytes().size());
 
-  const std::string final_path = dir + "/" + shard_name(key, sec.epoch);
-  const std::string tmp_path = final_path + ".tmp";
-  const int fd =
-      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) fail("open tmp");
-  write_fd_full(fd, header, sizeof(header));
-  std::uint64_t total = sizeof(header);
-  try {
-    total += write_container(fd, {{kTagMeta, ByteSpan(meta)},
-                                  {kTagLog, sec.log},
-                                  {kTagSorted, sec.sorted},
-                                  {kTagTree, sec.tree}});
-  } catch (const std::exception&) {
-    ::close(fd);
-    fail("write container");
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    fail("fsync tmp");
-  }
-  if (::close(fd) != 0) fail("close tmp");
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) fail("rename");
-  return total;
+  return commit_container_file(dir, shard_name(key, sec.epoch),
+                               ByteSpan(header, sizeof(header)),
+                               {{kTagMeta, ByteSpan(meta)},
+                                {kTagLog, sec.log},
+                                {kTagSorted, sec.sorted},
+                                {kTagTree, sec.tree}},
+                               /*sync_dir=*/false);
 }
 
 struct ManifestEntry {
@@ -152,14 +104,20 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
-std::optional<Manifest> parse_manifest(ByteSpan payload) {
-  ByteReader r{payload};
+/// Decodes the manifest section of a mapped manifest snapshot.
+std::optional<Manifest> parse_manifest(const SnapshotFile::Mapped& mapped) {
+  const SectionView* section =
+      find_section(mapped.sections, ShardCheckpointer::kManifestSection);
+  if (section == nullptr) return std::nullopt;
+  ByteReader r{section->data};
   if (r.try_u8().value_or(0xFF) != kManifestVersion) return std::nullopt;
   Manifest m;
   const auto width = r.try_u64();
   const auto epoch = r.try_u64();
   const auto count = r.try_u32();
   if (!width || !epoch || !count) return std::nullopt;
+  // Each entry is 16 bytes; reject forged counts before allocating.
+  if (*count > r.remaining() / 16) return std::nullopt;
   m.bucket_width = *width;
   m.epoch = *epoch;
   m.entries.reserve(*count);
@@ -176,71 +134,30 @@ std::optional<Manifest> parse_manifest(ByteSpan payload) {
   return m;
 }
 
-/// Reads one specific manifest file by seq (v1 SnapshotFile layout), fully
-/// validated. Used by retention to learn what the *previous* manifest still
-/// references; load_newest only surfaces the newest.
-std::optional<Manifest> read_manifest(const std::string& dir,
-                                      std::uint64_t seq) {
-  char name[40];
-  std::snprintf(name, sizeof(name), "snap-%016" PRIx64 ".snap", seq);
-  const auto file = MappedFile::map(dir + "/" + name);
-  if (!file) return std::nullopt;
-  const ByteSpan data = file->span();
-  constexpr std::uint8_t kSnapMagic[8] = {'R', 'I', 'T', 'M',
-                                          'S', 'N', 'A', 'P'};
-  if (data.size() < SnapshotFile::kHeaderSize ||
-      std::memcmp(data.data(), kSnapMagic, sizeof(kSnapMagic)) != 0) {
-    return std::nullopt;
-  }
-  ByteReader r{data.subspan(sizeof(kSnapMagic))};
-  if (r.u32() != 1 || r.u64() != seq) return std::nullopt;
-  const std::uint32_t crc = r.u32();
-  const std::uint64_t len = r.u64();
-  if (len != r.remaining()) return std::nullopt;
-  const ByteSpan payload = data.subspan(SnapshotFile::kHeaderSize);
-  if (crc32(payload) != crc) return std::nullopt;
-  return parse_manifest(payload);
-}
-
 /// Deletes shard files referenced by neither of the two newest manifests.
 /// Best-effort: stale files are harmless, a missed deletion is retried at
 /// the next checkpoint.
 void prune_unreferenced(const std::string& dir) {
-  std::vector<std::uint64_t> manifest_seqs;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (const auto s = parse_shard_name(name)) {
-      shard_files.push_back(*s);
-    } else if (name.size() == 26 && name.rfind("snap-", 0) == 0) {
-      // Manifest names mirror SnapshotFile's; re-derive the seq.
-      std::uint64_t seq = 0;
-      bool ok = true;
-      for (std::size_t i = 5; i < 21; ++i) {
-        const char c = name[i];
-        if (c >= '0' && c <= '9') seq = (seq << 4) | std::uint64_t(c - '0');
-        else if (c >= 'a' && c <= 'f')
-          seq = (seq << 4) | std::uint64_t(c - 'a' + 10);
-        else { ok = false; break; }
-      }
-      if (ok) manifest_seqs.push_back(seq);
-    }
-  }
-  std::sort(manifest_seqs.begin(), manifest_seqs.end(), std::greater<>());
   std::vector<std::pair<std::uint64_t, std::uint64_t>> referenced;
-  for (std::size_t i = 0; i < manifest_seqs.size() && i < 2; ++i) {
-    if (const auto m = read_manifest(dir, manifest_seqs[i])) {
+  const std::vector<std::uint64_t> manifests = SnapshotFile::seqs(dir);
+  for (std::size_t i = 0; i < manifests.size() && i < 2; ++i) {
+    const auto mapped = SnapshotFile::map(dir, manifests[i]);
+    if (const auto m = mapped ? parse_manifest(*mapped) : std::nullopt) {
       for (const auto& e : m->entries) referenced.push_back({e.key, e.epoch});
     }
   }
-  for (const auto& f : shard_files) {
-    if (std::find(referenced.begin(), referenced.end(), f) ==
-        referenced.end()) {
-      std::error_code rm_ec;
-      std::filesystem::remove(dir + "/" + shard_name(f.first, f.second),
-                              rm_ec);
+  std::vector<std::filesystem::path> stale;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const auto f = parse_shard_name(entry.path().filename().string());
+    if (f && std::find(referenced.begin(), referenced.end(), *f) ==
+                 referenced.end()) {
+      stale.push_back(entry.path());
     }
+  }
+  for (const auto& path : stale) {
+    std::error_code rm_ec;
+    std::filesystem::remove(path, rm_ec);
   }
 }
 
@@ -302,11 +219,11 @@ ShardCheckpointer::Stats ShardCheckpointer::checkpoint(
     w.u64(key);
     w.u64(shard.epoch());
   }
-  SnapshotFile::write(dir_, sharded.epoch(), ByteSpan(payload));
+  stats.bytes_written = SnapshotFile::write_v2(
+      dir_, sharded.epoch(), {{kManifestSection, ByteSpan(payload)}});
 
   stats.shards_written = jobs.size();
   for (const Job& j : jobs) stats.bytes_written += j.bytes;
-  stats.bytes_written += SnapshotFile::kHeaderSize + payload.size();
 
   on_disk_epoch_.clear();
   for (const auto& [key, shard] : sharded.shards()) {
@@ -319,14 +236,14 @@ ShardCheckpointer::Stats ShardCheckpointer::checkpoint(
 ShardCheckpointer::RecoverResult ShardCheckpointer::recover(
     dict::ShardedDictionary& out) {
   RecoverResult res;
-  const auto loaded = SnapshotFile::load_newest(dir_);
-  if (!loaded) {
+  const auto mapped = SnapshotFile::map_newest(dir_);
+  if (!mapped) {
     // Nothing checkpointed yet: an empty directory is a clean cold start.
     res.ok = true;
     return res;
   }
   res.have_manifest = true;
-  const auto manifest = parse_manifest(ByteSpan(loaded->payload));
+  const auto manifest = parse_manifest(*mapped);
   if (!manifest) {
     res.error = "malformed manifest";
     return res;
@@ -364,16 +281,10 @@ ShardCheckpointer::RecoverResult ShardCheckpointer::recover(
       res.error = "corrupt shard container " + shard_name(e.key, e.epoch);
       return res;
     }
-    const auto find = [&sections](std::uint32_t tag) -> const SectionView* {
-      for (const auto& s : *sections) {
-        if (s.tag == tag) return &s;
-      }
-      return nullptr;
-    };
-    const SectionView* meta = find(kTagMeta);
-    const SectionView* log = find(kTagLog);
-    const SectionView* sorted = find(kTagSorted);
-    const SectionView* tree = find(kTagTree);
+    const SectionView* meta = find_section(*sections, kTagMeta);
+    const SectionView* log = find_section(*sections, kTagLog);
+    const SectionView* sorted = find_section(*sections, kTagSorted);
+    const SectionView* tree = find_section(*sections, kTagTree);
     if (meta == nullptr || log == nullptr || sorted == nullptr ||
         tree == nullptr) {
       res.error = "missing shard section " + shard_name(e.key, e.epoch);

@@ -1,8 +1,8 @@
-// Per-shard incremental checkpoints for sharded dictionaries (PR 9).
+// Per-shard incremental checkpoints for sharded dictionaries.
 //
-// A full ShardedDictionary snapshot rewrites every shard on every
-// checkpoint even though inserts dirty exactly one expiry bucket at a time.
-// The checkpointer instead keeps one section-container file per shard and a
+// Inserts dirty exactly one expiry bucket at a time, so rewriting every
+// shard on every checkpoint wastes nearly all of its bytes. The
+// checkpointer instead keeps one section-container file per shard and a
 // small manifest unifying them:
 //
 //   shard-<key hex16>-<epoch hex16>.shard
@@ -10,9 +10,10 @@
 //     zero-padded to 64 bytes, then a persist::sections container holding
 //     the shard's meta (tag 1: u8 ver, u64 epoch, u64 n, 20B root) and its
 //     raw arenas (tag 2 entry log, tag 3 sorted index, tag 4 digest arena)
-//     — the same mmap-adoptable layout as snapshot format v2.
+//     — the same mmap-adoptable layout as a SnapshotFile.
 //
-//   snap-<epoch hex16>.snap  (manifest, v1 SnapshotFile)
+//   snap-<epoch hex16>.snap  (manifest, a SnapshotFile stamped with the
+//     sharded epoch, holding one kManifestSection section)
 //     u8 version (=1)  u64 bucket_width  u64 sharded epoch  u32 shard_count
 //     then per shard (ascending key): u64 key  u64 shard dict epoch.
 //
@@ -22,9 +23,10 @@
 // previous shard files, all still present. Retention keeps every shard file
 // referenced by the two newest manifests and deletes the rest.
 //
-// recover() maps the newest valid manifest's shard files and adopts their
-// arenas in place (Dictionary::restore_sections keeps each mapping alive).
-// A missing or corrupt shard file fails recovery — the sharded dictionary
+// recover() maps the newest valid manifest (a corrupt newest manifest falls
+// back to the previous one, whose shard files retention kept) and adopts
+// its shard files' arenas in place (Dictionary::restore_sections keeps each
+// mapping alive). A missing or corrupt shard file fails recovery — the sharded dictionary
 // is CA-side state the caller can rebuild from its feed, so there is no
 // partial-restore mode.
 #pragma once
@@ -40,6 +42,9 @@ namespace ritm::persist {
 
 class ShardCheckpointer {
  public:
+  /// Section tag of the manifest inside its snapshot file.
+  static constexpr std::uint32_t kManifestSection = 1;
+
   struct Stats {
     std::size_t shards_written = 0;   // rewritten this checkpoint
     std::size_t shards_skipped = 0;   // clean since the last checkpoint

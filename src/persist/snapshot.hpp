@@ -1,35 +1,29 @@
-// Atomic snapshot files for the durable dictionary pipeline (PR 4; format
-// v2 since PR 9).
+// Atomic snapshot files for the durable dictionary pipeline.
 //
-// A snapshot is a payload stamped with the WAL sequence number it covers:
-// every logged record with seq <= that stamp is already reflected in the
-// payload, so recovery loads the newest valid snapshot and replays only the
-// WAL records past it.
+// A snapshot is a set of sections stamped with the WAL sequence number it
+// covers: every logged record with seq <= that stamp is already reflected
+// in the sections, so recovery maps the newest valid snapshot and replays
+// only the WAL records past it.
 //
-// Two formats coexist:
-//   v1 (streaming): one opaque payload behind a CRC —
-//     "RITMSNAP" (8)  u32 version (=1)  u64 seq  u32 payload_crc32
-//     u64 payload_len  payload
-//   v2 (mmap-ready): the same 20-byte stamp zero-padded to 64 bytes,
-//     followed by a persist::sections container of 64-byte-aligned,
-//     individually CRC'd sections —
-//     "RITMSNAP" (8)  u32 version (=2)  u64 seq  pad to 64  container
-//     Readers mmap the file and adopt arena sections in place
-//     (dict::Dictionary::restore_sections); the entry log and digest arena
-//     are never copied or re-hashed on the restore path.
+// On-disk format (version 2, the only one): a 20-byte stamp zero-padded to
+// 64 bytes, followed by a persist::sections container of 64-byte-aligned,
+// individually CRC'd sections —
+//   "RITMSNAP" (8)  u32 version (=2)  u64 seq  pad to 64  container
+// Readers mmap the file and adopt arena sections in place
+// (dict::Dictionary::restore_sections); the entry log and digest arena are
+// never copied or re-hashed on the restore path.
 //
-// Commit protocol (crash-safe on POSIX rename semantics), both formats:
-//   1. write snap-<seq>.tmp in full,
+// Commit protocol (crash-safe on POSIX rename semantics, shared with the
+// shard files of persist::ShardCheckpointer via commit_container_file):
+//   1. write snap-<seq>.snap.tmp in full,
 //   2. fsync the tmp file,
 //   3. rename(2) it to snap-<seq>.snap,
 //   4. fsync the directory.
 // A crash before (3) leaves only a .tmp that loading ignores; a crash after
-// leaves a complete, CRC-checked file. load_newest()/map_newest() walk
-// snapshots newest first and skip any whose header, directory, or section
-// CRCs do not check out, so a corrupt latest snapshot degrades to the
-// previous one instead of to nothing. map_newest() accepts both formats
-// (a v1 file surfaces as one kLegacySection payload); load_newest() reads
-// v1 only — pre-v2 code keeps working against old directories.
+// leaves a complete, CRC-checked file. map_newest() walks snapshots newest
+// first and skips any whose stamp, directory, or section CRCs do not check
+// out, so a corrupt latest snapshot degrades to the previous one instead of
+// to nothing.
 #pragma once
 
 #include <cstdint>
@@ -67,53 +61,38 @@ class MappedFile {
 
 class SnapshotFile {
  public:
-  static constexpr std::size_t kHeaderSize = 32;    // v1
-  static constexpr std::size_t kV2HeaderSize = 64;  // v2: stamp padded to 64
-  /// Section tag map_newest() gives a v1 file's single opaque payload.
-  static constexpr std::uint32_t kLegacySection = 0;
-
-  struct Loaded {
-    std::uint64_t seq = 0;
-    Bytes payload;
-  };
+  static constexpr std::size_t kV2HeaderSize = 64;  // stamp padded to 64
 
   /// A validated snapshot mapped into memory. `sections` alias the mapping;
   /// hold `file` for as long as any of them is in use (restore_sections
   /// keeps it alive per-arena).
   struct Mapped {
     std::uint64_t seq = 0;
-    std::uint32_t version = 0;
     std::shared_ptr<const MappedFile> file;
     std::vector<SectionView> sections;
   };
 
-  /// Atomically commits `payload` as the v1 snapshot covering WAL records up
-  /// to and including `seq`. Creates `dir` if needed. Older snapshots beyond
+  /// Atomically commits `sections` as the snapshot covering WAL records up
+  /// to and including `seq`, streaming them straight to the tmp fd (no
+  /// whole-file staging). Creates `dir` if needed. Older snapshots beyond
   /// the most recent `keep` are deleted after the commit (the newest valid
-  /// one plus one fallback by default). Throws std::runtime_error on I/O
-  /// failure.
-  static void write(const std::string& dir, std::uint64_t seq,
-                    ByteSpan payload, std::size_t keep = 2);
-
-  /// Same commit protocol, format v2: streams the sections straight to the
-  /// tmp fd (no whole-file staging). Returns the committed file's size in
-  /// bytes. Throws std::runtime_error on I/O failure.
+  /// one plus one fallback by default). Returns the committed file's size
+  /// in bytes. Throws std::runtime_error on I/O failure.
   static std::uint64_t write_v2(const std::string& dir, std::uint64_t seq,
                                 const std::vector<SectionSpec>& sections,
                                 std::size_t keep = 2);
 
-  /// Loads the newest *v1* snapshot in `dir` whose header and CRC validate,
-  /// skipping corrupt, torn, or v2 ones. `skipped`, when given, receives the
-  /// number of snapshot files that failed validation. nullopt when no valid
-  /// snapshot exists.
-  static std::optional<Loaded> load_newest(const std::string& dir,
-                                           std::uint64_t* skipped = nullptr);
+  /// The seq of every snapshot file in `dir`, newest first, validated or
+  /// not (.tmp leftovers and foreign files excluded).
+  static std::vector<std::uint64_t> seqs(const std::string& dir);
 
-  /// Maps the newest snapshot in `dir` that validates fully — either
-  /// format. A v2 file yields its validated section views; a v1 file yields
-  /// one kLegacySection section holding the CRC-checked payload. Any
-  /// failure (bad magic, version, stamp, directory, or section CRC) skips
-  /// that file and tries the next-newest.
+  /// Maps snapshot `seq` of `dir` and validates it fully (magic, version,
+  /// stamp, directory, and every section CRC). nullopt on any failure.
+  static std::optional<Mapped> map(const std::string& dir, std::uint64_t seq);
+
+  /// Maps the newest snapshot in `dir` that validates fully, skipping (and
+  /// counting into `skipped`, when given) every newer one that does not.
+  /// nullopt when no valid snapshot exists.
   static std::optional<Mapped> map_newest(const std::string& dir,
                                           std::uint64_t* skipped = nullptr);
 };

@@ -25,7 +25,7 @@
 // entries own their bytes through a shared_ptr which CachedStatus holds,
 // so returned bytes survive concurrent eviction. The contract is
 // concurrent *readers* (status_for / status_bytes_for) against each other;
-// mutations (apply_*, restore_from) still require external serialization
+// mutations (apply_*, recover_from) still require external serialization
 // against readers, exactly like the dictionaries underneath.
 //
 // Durability (PR 4): attach_wal() makes the store log every accepted
@@ -221,20 +221,7 @@ class DictionaryStore {
   /// persist_to() stamps its snapshot with.
   std::uint64_t mutation_seq() const noexcept { return mutation_seq_; }
 
-  /// Serializes every replica's durable state (per CA: flags, signed root,
-  /// freshness state, and the dictionary snapshot). Status caches are not
-  /// persisted — they rebuild lazily on the first post-recovery lookups.
-  void snapshot_into(ByteWriter& w) const;
-
-  /// Restores a snapshot_into() encoding. Every CA in the snapshot must
-  /// already be registered (keys and ∆ are trust configuration, not
-  /// replicated state); each signed root is re-verified against its
-  /// registered key and each dictionary's root is recomputed once and
-  /// checked. Throws std::runtime_error on any mismatch, leaving the store
-  /// untouched. Registered CAs absent from the snapshot keep their state.
-  void restore_from(ByteReader& r);
-
-  /// Snapshot format v2 section tags (persist::SectionSpec::tag): tag 1
+  /// Snapshot section tags (persist::SectionSpec::tag): tag 1
   /// carries the store metadata (flags, signed roots, freshness state, and
   /// per-dictionary epoch/n/root); the i-th CA's dictionary arenas (in meta
   /// order) use ((i+1) << 8) | kind with kinds 1 = entry log, 2 = sorted
@@ -280,8 +267,7 @@ class DictionaryStore {
 
   /// Atomically writes the current state as a snapshot into `dir` (stamped
   /// with mutation_seq()) and, when a WAL is attached, resets it — the
-  /// snapshot supersedes every logged record. Writes format v2;
-  /// recover_from() reads both formats.
+  /// snapshot supersedes every logged record.
   void persist_to(const std::string& dir);
 
   struct RecoveryReport {
@@ -357,7 +343,7 @@ class DictionaryStore {
     struct StatusCache {
       std::array<CacheShard, kCacheShards> shards;
       StatusCache() = default;
-      // Replica copies (restore_from staging) never carry the cache: a
+      // Replica copies (restore_snapshot staging) never carry the cache: a
       // restore is a version change for every CA anyway, and shard mutexes
       // are not copyable. Copies start cold and re-fill lazily.
       StatusCache(const StatusCache&) {}
@@ -395,11 +381,14 @@ class DictionaryStore {
   /// Appends an accepted mutation to the attached WAL (no-op while
   /// replaying or with no WAL attached).
   void log_mutation(std::uint8_t type, UnixSeconds now, ByteSpan message);
-  /// Restores a format-v2 mapped snapshot: parses the meta section, adopts
-  /// each CA's arena sections in place (keeping the mapping alive), and
-  /// re-verifies every signed root against its registered key. Staged like
-  /// restore_from — throws on any mismatch, leaving the store untouched.
-  void restore_v2(const persist::SnapshotFile::Mapped& mapped);
+  /// Restores a mapped snapshot: parses the meta section, adopts each CA's
+  /// arena sections in place (keeping the mapping alive), and re-verifies
+  /// every signed root against its registered key. Every CA in the
+  /// snapshot must already be registered (keys and ∆ are trust
+  /// configuration, not replicated state); registered CAs absent from it
+  /// keep their state. Staged — throws std::runtime_error on any mismatch,
+  /// leaving the store untouched.
+  void restore_snapshot(const persist::SnapshotFile::Mapped& mapped);
 
   /// Relaxed atomics: serving threads bump these concurrently; cache_stats()
   /// snapshots them into the plain CacheStats struct.

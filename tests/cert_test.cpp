@@ -49,6 +49,13 @@ TEST(SerialNumber, WidthBoundsChecked) {
   EXPECT_THROW(SerialNumber::from_uint(1, 21), std::invalid_argument);
 }
 
+TEST(SerialNumber, WideSerialsAreZeroPadded) {
+  const auto s = SerialNumber::from_uint(0x0102030405060708ull, 20);
+  Bytes expect(20, 0);
+  for (std::size_t i = 0; i < 8; ++i) expect[12 + i] = std::uint8_t(i + 1);
+  EXPECT_EQ(s.value, expect);
+}
+
 TEST(SerialNumber, Ordering) {
   EXPECT_LT(SerialNumber::from_uint(1), SerialNumber::from_uint(2));
   EXPECT_EQ(SerialNumber::from_uint(5), SerialNumber::from_uint(5));

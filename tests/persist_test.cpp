@@ -1,8 +1,7 @@
-// Persistence suite (PR 4): WAL framing + torn-write truncation at every
-// byte of the final record and every framing field, atomic snapshot commit
-// and fallback, snapshot round trips for all three dictionary backends, RA
-// store persist/recover with crash simulation, and the CDN cold-start
-// bootstrap. The crash-consistency property pinned throughout: recovery
+// Persistence suite: WAL framing + torn-write truncation at every byte of
+// the final record and every framing field, atomic snapshot commit and
+// fallback, the dictionary wire codec, RA store persist/recover with crash
+// simulation, per-shard checkpoints, and the CDN cold-start bootstrap. The crash-consistency property pinned throughout: recovery
 // from a prefix of the log always equals an in-memory replay of exactly
 // that prefix — root, epoch, and proof bytes identical.
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "common/thread_pool.hpp"
 #include "dict/dictionary.hpp"
 #include "dict/sharded.hpp"
-#include "dict/treap.hpp"
 #include "persist/recovery.hpp"
 #include "persist/sections.hpp"
 #include "persist/shard_checkpoint.hpp"
@@ -214,50 +212,69 @@ TEST(Wal, CorruptMiddleRecordEndsThePrefix) {
 
 // ------------------------------------------------------------ snapshots
 
+/// The bytes of a mapped snapshot's single section.
+Bytes only_section(const SnapshotFile::Mapped& mapped) {
+  EXPECT_EQ(mapped.sections.size(), 1u);
+  if (mapped.sections.empty()) return {};
+  const ByteSpan data = mapped.sections.front().data;
+  return Bytes(data.begin(), data.end());
+}
+
 TEST(Snapshot, AtomicCommitLoadAndFallback) {
   TempDir dir("snap");
   std::uint64_t skipped = 0;
-  EXPECT_FALSE(SnapshotFile::load_newest(dir.str(), &skipped).has_value());
+  EXPECT_FALSE(SnapshotFile::map_newest(dir.str(), &skipped).has_value());
 
   const Bytes a{1, 2, 3}, b(100000, 0x5C);
-  SnapshotFile::write(dir.str(), 3, ByteSpan(a));
-  SnapshotFile::write(dir.str(), 9, ByteSpan(b));
-  auto newest = SnapshotFile::load_newest(dir.str(), &skipped);
-  ASSERT_TRUE(newest.has_value());
-  EXPECT_EQ(newest->seq, 9u);
-  EXPECT_EQ(newest->payload, b);
-  EXPECT_EQ(skipped, 0u);
+  SnapshotFile::write_v2(dir.str(), 3, {{7, ByteSpan(a)}});
+  SnapshotFile::write_v2(dir.str(), 9, {{7, ByteSpan(b)}});
+  {
+    const auto newest = SnapshotFile::map_newest(dir.str(), &skipped);
+    ASSERT_TRUE(newest.has_value());
+    EXPECT_EQ(newest->seq, 9u);
+    EXPECT_EQ(only_section(*newest), b);
+    EXPECT_EQ(skipped, 0u);
+  }
 
-  // Corrupt the newest file: loading falls back to the previous snapshot.
+  // Corrupt the newest file's section bytes: its section CRC fails and
+  // loading falls back to the previous snapshot.
   const std::string newest_path = dir.file("snap-0000000000000009.snap");
   Bytes image = read_all(newest_path);
-  image[SnapshotFile::kHeaderSize + 17] ^= 0x80;
+  const std::size_t first_section =
+      SnapshotFile::kV2HeaderSize +
+      persist::align_section(persist::kSectionHeaderSize +
+                             persist::kSectionDirEntrySize);
+  image[first_section + 17] ^= 0x80;
   write_all(newest_path, ByteSpan(image));
-  auto fallback = SnapshotFile::load_newest(dir.str(), &skipped);
+  const auto fallback = SnapshotFile::map_newest(dir.str(), &skipped);
   ASSERT_TRUE(fallback.has_value());
   EXPECT_EQ(fallback->seq, 3u);
-  EXPECT_EQ(fallback->payload, a);
+  EXPECT_EQ(only_section(*fallback), a);
   EXPECT_EQ(skipped, 1u);
 
   // A torn .tmp (crash before rename) is never considered.
   write_all(dir.file("snap-00000000000000ff.snap.tmp"), ByteSpan(a));
-  EXPECT_EQ(SnapshotFile::load_newest(dir.str())->seq, 3u);
+  EXPECT_EQ(SnapshotFile::map_newest(dir.str())->seq, 3u);
 }
 
 TEST(Snapshot, RetentionKeepsNewestTwo) {
   TempDir dir("snap-retention");
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    SnapshotFile::write(dir.str(), seq, ByteSpan(Bytes{std::uint8_t(seq)}));
+    const Bytes payload{std::uint8_t(seq)};
+    SnapshotFile::write_v2(dir.str(), seq, {{1, ByteSpan(payload)}});
   }
   std::size_t on_disk = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
     on_disk += entry.path().extension() == ".snap";
   }
   EXPECT_EQ(on_disk, 2u);
-  EXPECT_EQ(SnapshotFile::load_newest(dir.str())->seq, 5u);
+  const auto newest = SnapshotFile::map_newest(dir.str());
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->seq, 5u);
+  EXPECT_EQ(only_section(*newest), Bytes{5});
 }
 
-// ------------------------------------- dictionary backend snapshots
+// ---------------------------------------------- dictionary wire codec
 
 TEST(DictSnapshot, RoundTripPreservesRootEpochAndProofBytes) {
   dict::Dictionary d;
@@ -318,71 +335,17 @@ TEST(DictSnapshot, EmptyDictionaryRoundTrips) {
   EXPECT_EQ(restored.root(), dict::empty_root());
 }
 
-TEST(ShardedSnapshot, RoundTripAfterInsertsAndPrune) {
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(33);
-  for (int i = 0; i < 500; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(40)) * 86'400 + 100);
-  }
-  sharded.prune(15 * 86'400);  // drop the oldest expiry buckets
-
-  ByteWriter w;
-  sharded.snapshot_into(w);
-  ByteReader r{ByteSpan(w.bytes())};
-  dict::ShardedDictionary restored(123);  // width overridden by the snapshot
-  restored.restore_from(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-  EXPECT_EQ(restored.shard_count(), sharded.shard_count());
-  EXPECT_EQ(restored.total_entries(), sharded.total_entries());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  // Per-shard proofs still verify identically.
-  const auto serial = SerialNumber::from_uint(424242, 4);
-  const UnixSeconds expiry = 30 * 86'400 + 100;
-  EXPECT_EQ(restored.prove(serial, expiry).encode(),
-            sharded.prove(serial, expiry).encode());
-}
-
-TEST(TreapSnapshot, RoundTripWithoutPerEntryHashing) {
-  dict::MerkleTreap treap;
-  Rng rng(44);
-  std::vector<SerialNumber> serials;
-  for (int i = 0; i < 400; ++i) {
-    serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 24), 4));
-  }
-  treap.insert(serials);
-
-  ByteWriter w;
-  treap.snapshot_into(w);
-  ByteReader r{ByteSpan(w.bytes())};
-  dict::MerkleTreap restored;
-  restored.restore_from(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(restored.size(), treap.size());
-  EXPECT_EQ(restored.root(), treap.root());
-  // Proof bytes identical, and inserting after restore stays canonical:
-  // the restored treap and the original converge to the same new root.
-  const auto probe = serials[17];
-  EXPECT_EQ(restored.prove(probe).encode(), treap.prove(probe).encode());
-  const auto fresh = SerialNumber::from_uint(0xABCDEF, 4);
-  treap.insert({fresh});
-  restored.insert({fresh});
-  EXPECT_EQ(restored.root(), treap.root());
-}
-
-TEST(TreapSnapshot, CorruptStructureIsRejected) {
-  dict::MerkleTreap treap;
-  treap.insert({SerialNumber::from_uint(5), SerialNumber::from_uint(9),
-                SerialNumber::from_uint(2)});
-  ByteWriter w;
-  treap.snapshot_into(w);
-  Bytes image(w.bytes());
-  image[image.size() - 5] ^= 0x01;  // damage the recorded root
-  ByteReader r{ByteSpan(image)};
-  dict::MerkleTreap restored;
-  EXPECT_THROW(restored.restore_from(r), std::runtime_error);
-  EXPECT_EQ(restored.size(), 0u);
+// Snapshot sections whose entry count wraps n * 24 back to the log
+// section's real size must be rejected up front instead of driving the
+// tree layout with n ~ 2^63.
+TEST(DictSnapshot, SectionsWithWrappingCountAreRejected) {
+  dict::Dictionary d;
+  d.insert({SerialNumber::from_uint(1), SerialNumber::from_uint(2)});
+  dict::DictSections sec = d.snapshot_sections();
+  sec.n += std::uint64_t(1) << 63;
+  dict::Dictionary victim;
+  EXPECT_THROW(victim.restore_sections(sec, nullptr), std::runtime_error);
+  EXPECT_EQ(victim.size(), 0u);
 }
 
 // ------------------------------------------------- RA store durability
@@ -644,52 +607,6 @@ TEST(StorePersist, V2CorruptionAtEveryStructuralByteFallsBack) {
   EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
 }
 
-// Directories written before format v2 (a v1 streaming snapshot + WAL
-// tail) must keep recovering byte-identically through the new path.
-TEST(StorePersist, LegacyV1SnapshotStillRecovers) {
-  TempDir dir("store-v1-compat");
-  auto ca = make_ca(17);
-  Rng rng(18);
-  ra::DictionaryStore live;
-  live.register_ca(ca.id(), ca.public_key(), ca.delta());
-  persist::WriteAheadLog wal;
-  wal.open(Recovery::wal_path(dir.str()));
-  live.attach_wal(&wal);
-
-  UnixSeconds now = 1000;
-  const auto issue = [&](std::size_t count) {
-    std::vector<SerialNumber> serials;
-    for (std::size_t i = 0; i < count; ++i) {
-      serials.push_back(SerialNumber::from_uint(rng.uniform(1 << 20), 4));
-    }
-    now += 10;
-    ASSERT_EQ(live.apply_issuance(ca.revoke(serials, now), now),
-              ra::ApplyResult::ok);
-  };
-
-  for (int i = 0; i < 6; ++i) issue(4);
-  // Snapshot the pre-v2 way: one streamed payload behind a file CRC.
-  ByteWriter w;
-  live.snapshot_into(w);
-  SnapshotFile::write(dir.str(), live.mutation_seq(), ByteSpan(w.bytes()));
-  wal.reset(live.mutation_seq() + 1);
-  for (int i = 0; i < 3; ++i) issue(2);  // the tail
-  wal.sync();
-
-  ra::DictionaryStore recovered;
-  recovered.register_ca(ca.id(), ca.public_key(), ca.delta());
-  const auto report = recovered.recover_from(dir.str());
-  ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_TRUE(report.have_snapshot);
-  EXPECT_EQ(report.replayed, 3u);
-  EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-  EXPECT_EQ(recovered.root_of(ca.id())->encode(),
-            live.root_of(ca.id())->encode());
-  const auto probe = SerialNumber::from_uint(777, 4);
-  EXPECT_EQ(recovered.status_for(ca.id(), probe)->encode(),
-            live.status_for(ca.id(), probe)->encode());
-}
-
 // ------------------------------------- per-shard incremental checkpoints
 
 TEST(ShardCheckpoint, IncrementalRoundTripSkipsCleanShards) {
@@ -802,6 +719,90 @@ TEST(ShardCheckpoint, CorruptShardFileFailsRecoveryUntouched) {
   EXPECT_TRUE(rec.have_manifest);
   EXPECT_FALSE(rec.error.empty());
   // The target dictionary is untouched on failure.
+  EXPECT_EQ(restored.total_entries(), 1u);
+  EXPECT_EQ(restored.bucket_width(), 555);
+}
+
+/// The newest manifest (snap-*.snap) in a checkpoint directory.
+std::string newest_manifest(const TempDir& dir) {
+  std::string newest;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    if (entry.path().extension() != ".snap") continue;
+    if (entry.path().string() > newest) newest = entry.path().string();
+  }
+  return newest;
+}
+
+TEST(ShardCheckpoint, CorruptNewestManifestFallsBack) {
+  TempDir dir("shardckpt-manifest");
+  dict::ShardedDictionary sharded(86'400);
+  Rng rng(75);
+  for (int i = 0; i < 100; ++i) {
+    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
+                   static_cast<UnixSeconds>(rng.uniform(8)) * 86'400 + 100);
+  }
+  persist::ShardCheckpointer ck(dir.str());
+  ck.checkpoint(sharded);
+  const auto epoch_before = sharded.epoch();
+  const auto roots_before = sharded.shard_roots();
+  const auto entries_before = sharded.total_entries();
+
+  // Dirty one shard and checkpoint again: that shard gets a new file, and
+  // pruning must keep its old file because the previous manifest still
+  // references it.
+  sharded.insert(SerialNumber::from_uint(0xBEEF, 4), 3 * 86'400 + 100);
+  ASSERT_EQ(ck.checkpoint(sharded).shards_written, 1u);
+
+  const std::string manifest = newest_manifest(dir);
+  ASSERT_FALSE(manifest.empty());
+  Bytes image = read_all(manifest);
+  const std::size_t first_section =
+      SnapshotFile::kV2HeaderSize +
+      persist::align_section(persist::kSectionHeaderSize +
+                             persist::kSectionDirEntrySize);
+  ASSERT_GT(image.size(), first_section);
+  image[first_section] ^= 0x01;  // the manifest's version byte
+  write_all(manifest, ByteSpan(image));
+
+  dict::ShardedDictionary restored(123);
+  persist::ShardCheckpointer ck2(dir.str());
+  const auto rec = ck2.recover(restored);
+  ASSERT_TRUE(rec.ok) << rec.error;
+  EXPECT_TRUE(rec.have_manifest);
+  EXPECT_EQ(rec.epoch, epoch_before);
+  EXPECT_EQ(restored.epoch(), epoch_before);
+  EXPECT_EQ(restored.shard_roots(), roots_before);
+  EXPECT_EQ(restored.total_entries(), entries_before);
+}
+
+// A manifest whose CRCs check out but whose shard count exceeds what its
+// bytes can hold must fail recovery cleanly, never allocate for the count.
+TEST(ShardCheckpoint, ForgedManifestCountFailsRecoveryUntouched) {
+  TempDir dir("shardckpt-count");
+  dict::ShardedDictionary sharded(100);
+  sharded.insert(SerialNumber::from_uint(7, 4), 150);
+  persist::ShardCheckpointer ck(dir.str());
+  ck.checkpoint(sharded);
+
+  Bytes payload;
+  ByteWriter w(payload);
+  w.u8(1);  // manifest version
+  w.u64(100);
+  w.u64(sharded.epoch() + 1);
+  w.u32(0xFFFFFFFF);  // shard count
+  w.u64(1);           // one (key, epoch) entry of the claimed four billion
+  w.u64(1);
+  SnapshotFile::write_v2(
+      dir.str(), sharded.epoch() + 1,
+      {{persist::ShardCheckpointer::kManifestSection, ByteSpan(payload)}});
+
+  dict::ShardedDictionary restored(555);
+  restored.insert(SerialNumber::from_uint(42, 4), 600);
+  persist::ShardCheckpointer ck2(dir.str());
+  const auto rec = ck2.recover(restored);
+  EXPECT_FALSE(rec.ok);
+  EXPECT_TRUE(rec.have_manifest);
+  EXPECT_FALSE(rec.error.empty());
   EXPECT_EQ(restored.total_entries(), 1u);
   EXPECT_EQ(restored.bucket_width(), 555);
 }

@@ -64,7 +64,7 @@ FLOORS = [
      "4-reactor aggregate RPS vs 1 reactor",
      ("svc_status.multicore_scaling.cores", 8)),
     ("recovery.mmap_speedup", 3.0,
-     "format-v2 mmap restore vs v1 streaming restore", None),
+     "mmap snapshot restore vs cold-start decode+rehash restore", None),
     # Zipf-shaped status traffic must keep the per-root status cache warm;
     # measured 0.57-0.62 on the smoke and heartbleed presets.
     ("scenario.cache_hit_rate", 0.50,
