@@ -32,7 +32,7 @@ Scalar hash_to_scalar(std::initializer_list<ByteSpan> parts) noexcept {
 PublicKey derive_public_key(const Seed& seed) noexcept {
   const Sha512Digest h = Sha512::hash(ByteSpan(seed.data(), seed.size()));
   const Scalar a = clamp(h.data());
-  const Ge A = detail::ge_scalarmult(detail::ge_base(), a);
+  const Ge A = detail::ge_scalarmult_base(a);
   return detail::ge_to_bytes(A);
 }
 
@@ -51,7 +51,7 @@ Signature sign(ByteSpan message, const Seed& seed,
 
   const ByteSpan prefix(h.data() + 32, 32);
   const Scalar r = hash_to_scalar({prefix, message});
-  const Ge R = detail::ge_scalarmult(detail::ge_base(), r);
+  const Ge R = detail::ge_scalarmult_base(r);
   const auto r_enc = detail::ge_to_bytes(R);
 
   const Scalar k = hash_to_scalar({ByteSpan(r_enc.data(), r_enc.size()),
@@ -82,11 +82,10 @@ bool verify(ByteSpan message, const Signature& sig,
       {ByteSpan(r_enc.data(), r_enc.size()),
        ByteSpan(public_key.data(), public_key.size()), message});
 
-  // Check s*B == R + k*A  (equivalently s*B - k*A == R).
-  const Ge sB = detail::ge_scalarmult(detail::ge_base(), s);
-  const Ge kA = detail::ge_scalarmult(*A, k);
-  const Ge rhs = detail::ge_add(*R, kA);
-  return detail::ge_equal(sB, rhs);
+  // Check s*B == R + k*A as s*B - k*A == R, in one double-scalar chain.
+  const Ge sB_minus_kA =
+      detail::ge_double_scalarmult_vartime(k, detail::ge_neg(*A), s);
+  return detail::ge_equal(sB_minus_kA, *R);
 }
 
 }  // namespace ritm::crypto

@@ -3,23 +3,9 @@
 namespace ritm::crypto::detail {
 
 namespace {
-using u64 = std::uint64_t;
-__extension__ using u128 = unsigned __int128;  // NOLINT: GCC/Clang extension, required width
-
-constexpr u64 kMask51 = (u64(1) << 51) - 1;
-
-// Carry-propagates so that all limbs are < 2^51 (top carry folds via *19).
-Fe carry(const Fe& in) noexcept {
-  u64 t0 = in.v[0], t1 = in.v[1], t2 = in.v[2], t3 = in.v[3], t4 = in.v[4];
-  u64 c;
-  c = t0 >> 51; t0 &= kMask51; t1 += c;
-  c = t1 >> 51; t1 &= kMask51; t2 += c;
-  c = t2 >> 51; t2 &= kMask51; t3 += c;
-  c = t3 >> 51; t3 &= kMask51; t4 += c;
-  c = t4 >> 51; t4 &= kMask51; t0 += 19 * c;
-  c = t0 >> 51; t0 &= kMask51; t1 += c;
-  return Fe{{t0, t1, t2, t3, t4}};
-}
+using fe_impl::carry;
+using fe_impl::kMask51;
+using fe_impl::u64;
 }  // namespace
 
 Fe fe_from_u64(std::uint64_t x) noexcept {
@@ -70,102 +56,46 @@ void fe_to_bytes(std::uint8_t* out, const Fe& a) noexcept {
   }
 }
 
-Fe fe_add(const Fe& a, const Fe& b) noexcept {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  return carry(r);
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) noexcept {
-  // Add 2p (in limb form) before subtracting so limbs never underflow;
-  // assumes inputs are loosely reduced (limbs < 2^52).
-  constexpr u64 kTwoP0 = 0xFFFFFFFFFFFDA;  // 2*(2^51-19)
-  constexpr u64 kTwoPi = 0xFFFFFFFFFFFFE;  // 2*(2^51-1)
-  Fe r;
-  r.v[0] = a.v[0] + kTwoP0 - b.v[0];
-  for (int i = 1; i < 5; ++i) r.v[i] = a.v[i] + kTwoPi - b.v[i];
-  return carry(r);
-}
-
-Fe fe_neg(const Fe& a) noexcept { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) noexcept {
-  const u64 a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3], a4 = a.v[4];
-  const u64 b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3], b4 = b.v[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-
-  u128 r0 = u128(a0) * b0 + u128(a1) * b4_19 + u128(a2) * b3_19 +
-            u128(a3) * b2_19 + u128(a4) * b1_19;
-  u128 r1 = u128(a0) * b1 + u128(a1) * b0 + u128(a2) * b4_19 +
-            u128(a3) * b3_19 + u128(a4) * b2_19;
-  u128 r2 = u128(a0) * b2 + u128(a1) * b1 + u128(a2) * b0 +
-            u128(a3) * b4_19 + u128(a4) * b3_19;
-  u128 r3 = u128(a0) * b3 + u128(a1) * b2 + u128(a2) * b1 + u128(a3) * b0 +
-            u128(a4) * b4_19;
-  u128 r4 = u128(a0) * b4 + u128(a1) * b3 + u128(a2) * b2 + u128(a3) * b1 +
-            u128(a4) * b0;
-
-  Fe out;
-  u64 c;
-  out.v[0] = u64(r0) & kMask51; c = u64(r0 >> 51);
-  r1 += c;
-  out.v[1] = u64(r1) & kMask51; c = u64(r1 >> 51);
-  r2 += c;
-  out.v[2] = u64(r2) & kMask51; c = u64(r2 >> 51);
-  r3 += c;
-  out.v[3] = u64(r3) & kMask51; c = u64(r3 >> 51);
-  r4 += c;
-  out.v[4] = u64(r4) & kMask51; c = u64(r4 >> 51);
-  out.v[0] += 19 * c;
-  c = out.v[0] >> 51; out.v[0] &= kMask51; out.v[1] += c;
-  return out;
-}
-
-Fe fe_sq(const Fe& a) noexcept { return fe_mul(a, a); }
-
-Fe fe_pow(const Fe& base, const std::array<std::uint8_t, 32>& exp) noexcept {
-  // MSB-first square-and-multiply; variable time (see header).
-  Fe r = fe_one();
-  bool started = false;
-  for (int byte = 31; byte >= 0; --byte) {
-    for (int bit = 7; bit >= 0; --bit) {
-      if (started) r = fe_sq(r);
-      if ((exp[static_cast<std::size_t>(byte)] >> bit) & 1) {
-        if (started) {
-          r = fe_mul(r, base);
-        } else {
-          r = base;
-          started = true;
-        }
-      } else if (started) {
-        // nothing: square already applied
-      }
-    }
-  }
-  return r;
-}
-
 namespace {
-// p - 2 = 2^255 - 21, little-endian.
-constexpr std::array<std::uint8_t, 32> kPMinus2 = {
-    0xeb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};
-// (p - 5) / 8 = 2^252 - 3, little-endian.
-constexpr std::array<std::uint8_t, 32> kP58 = {
-    0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f};
-// (p - 1) / 4 = 2^253 - 5, little-endian.
-constexpr std::array<std::uint8_t, 32> kP14 = {
-    0xfb, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x1f};
+// a^(2^n) by n squarings.
+Fe fe_sq_n(Fe a, int n) noexcept {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
+
+// The shared prefix of the inversion and square-root chains (ref10's
+// pow225521/pow22523): returns a^(2^250 - 1) and sets *a11 = a^11.
+Fe fe_pow_2_250_1(const Fe& a, Fe* a11) noexcept {
+  const Fe a2 = fe_sq(a);
+  const Fe a9 = fe_mul(a, fe_sq_n(a2, 2));
+  *a11 = fe_mul(a2, a9);
+  const Fe e5 = fe_mul(a9, fe_sq(*a11));        // 2^5 - 1
+  const Fe e10 = fe_mul(fe_sq_n(e5, 5), e5);    // 2^10 - 1
+  const Fe e20 = fe_mul(fe_sq_n(e10, 10), e10);
+  const Fe e40 = fe_mul(fe_sq_n(e20, 20), e20);
+  const Fe e50 = fe_mul(fe_sq_n(e40, 10), e10);
+  const Fe e100 = fe_mul(fe_sq_n(e50, 50), e50);
+  const Fe e200 = fe_mul(fe_sq_n(e100, 100), e100);
+  return fe_mul(fe_sq_n(e200, 50), e50);        // 2^250 - 1
+}
 }  // namespace
 
-Fe fe_invert(const Fe& a) noexcept { return fe_pow(a, kPMinus2); }
+Fe fe_invert(const Fe& a) noexcept {
+  Fe a11;
+  const Fe t = fe_pow_2_250_1(a, &a11);
+  return fe_mul(fe_sq_n(t, 5), a11);  // 2^255 - 32 + 11 = p - 2
+}
 
-Fe fe_pow22523(const Fe& a) noexcept { return fe_pow(a, kP58); }
+Fe fe_pow22523(const Fe& a) noexcept {
+  Fe a11;
+  const Fe t = fe_pow_2_250_1(a, &a11);
+  return fe_mul(fe_sq_n(t, 2), a);  // 2^252 - 4 + 1 = (p - 5) / 8
+}
+
+void fe_cmov(Fe& f, const Fe& g, unsigned b) noexcept {
+  const u64 mask = u64(0) - u64(b);
+  for (int i = 0; i < 5; ++i) f.v[i] ^= mask & (f.v[i] ^ g.v[i]);
+}
 
 bool fe_is_zero(const Fe& a) noexcept {
   std::uint8_t b[32];
@@ -191,7 +121,12 @@ bool fe_equal(const Fe& a, const Fe& b) noexcept {
 }
 
 const Fe& fe_sqrtm1() noexcept {
-  static const Fe v = fe_pow(fe_from_u64(2), kP14);
+  // 2^((p-1)/4) = 2^(2 * (p-5)/8 + 1), so one squaring and one multiply on
+  // top of the square-root chain.
+  static const Fe v = [] {
+    const Fe two = fe_from_u64(2);
+    return fe_mul(fe_sq(fe_pow22523(two)), two);
+  }();
   return v;
 }
 

@@ -1,142 +1,132 @@
 #include "crypto/ed25519_sc.hpp"
 
+#include <cstddef>
+
 namespace ritm::crypto::detail {
 
 namespace {
 using u64 = std::uint64_t;
 __extension__ using u128 = unsigned __int128;  // NOLINT: GCC/Clang extension, required width
 
-// 512-bit little-endian word array.
-struct U512 {
-  u64 w[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-};
+// L as 64-bit little-endian words, zero-extended to five.
+constexpr u64 kL[5] = {0x5812631A5CF5D3EDULL, 0x14DEF9DEA2F79CD6ULL,
+                       0x0000000000000000ULL, 0x1000000000000000ULL, 0};
 
-// L as four 64-bit little-endian words.
-constexpr u64 kL[4] = {0x5812631A5CF5D3EDULL, 0x14DEF9DEA2F79CD6ULL,
-                       0x0000000000000000ULL, 0x1000000000000000ULL};
+// Barrett constant mu = floor(2^512 / L), a 260-bit value.
+constexpr u64 kMu[5] = {0xED9CE5A30A2C131BULL, 0x2106215D086329A7ULL,
+                        0xFFFFFFFFFFFFFFEBULL, 0xFFFFFFFFFFFFFFFFULL,
+                        0x000000000000000FULL};
 
-U512 from_bytes(const std::uint8_t* in, std::size_t n) noexcept {
-  U512 x;
+template <std::size_t N>
+void load_words(u64 (&out)[N], const std::uint8_t* in, std::size_t n) noexcept {
+  for (auto& w : out) w = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    x.w[i / 8] |= u64(in[i]) << (8 * (i % 8));
-  }
-  return x;
-}
-
-// Compares the low 4 words of x (x.w[4..7] assumed zero) against L.
-// Returns true if x >= L.
-bool ge_l(const U512& x) noexcept {
-  for (int i = 7; i >= 4; --i) {
-    if (x.w[i] != 0) return true;
-  }
-  for (int i = 3; i >= 0; --i) {
-    if (x.w[i] != kL[i]) return x.w[i] > kL[i];
-  }
-  return true;  // equal
-}
-
-void sub_l(U512& x) noexcept {
-  u128 borrow = 0;
-  for (int i = 0; i < 8; ++i) {
-    const u64 li = i < 4 ? kL[i] : 0;
-    u128 d = u128(x.w[i]) - li - borrow;
-    x.w[i] = u64(d);
-    borrow = (d >> 64) & 1;  // 1 if underflowed
+    out[i / 8] |= u64(in[i]) << (8 * (i % 8));
   }
 }
 
-int top_bit(const U512& x) noexcept {
-  for (int i = 7; i >= 0; --i) {
-    if (x.w[i] != 0) {
-      int b = 63;
-      while (!((x.w[i] >> b) & 1)) --b;
-      return 64 * i + b;
+// r -= L if r >= L, selected with a mask rather than a branch.
+void sub_l_if_ge(u64 (&r)[5]) noexcept {
+  u64 t[5];
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const u128 d = u128(r[i]) - kL[i] - borrow;
+    t[i] = u64(d);
+    borrow = u64(d >> 64) & 1;
+  }
+  const u64 keep_t = borrow - 1;  // all ones iff no borrow, i.e. r >= L
+  for (std::size_t i = 0; i < 5; ++i) {
+    r[i] = (t[i] & keep_t) | (r[i] & ~keep_t);
+  }
+}
+
+// x mod L for any x < 2^512, by Barrett reduction with base 2^64 (HAC
+// 14.42): q = floor(floor(x / 2^192) * mu / 2^320). In general q undershoots
+// floor(x / L) by up to 2; here by at most 1, because x / L exceeds the
+// unfloored estimate by less than frac(2^512 / L) + 2^-60 = 0.22..., so
+// r = x - q*L lies in [0, 2L) and one masked subtraction finishes.
+// Every loop has a fixed trip count, so the time does not depend on x.
+Scalar mod_l(const u64 (&x)[8]) noexcept {
+  u64 prod[10] = {};  // (x >> 192) * mu
+  for (std::size_t i = 0; i < 5; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < 5; ++j) {
+      const u128 cur = u128(x[3 + i]) * kMu[j] + prod[i + j] + carry;
+      prod[i + j] = u64(cur);
+      carry = u64(cur >> 64);
+    }
+    prod[i + 5] = carry;
+  }
+  const u64* q = prod + 5;
+
+  u64 ql[5] = {};  // (q * L) mod 2^320
+  for (std::size_t i = 0; i < 5; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; i + j < 5; ++j) {
+      const u128 cur = u128(q[i]) * kL[j] + ql[i + j] + carry;
+      ql[i + j] = u64(cur);
+      carry = u64(cur >> 64);
     }
   }
-  return -1;
-}
 
-bool bit(const U512& x, int i) noexcept {
-  return (x.w[i / 64] >> (i % 64)) & 1;
-}
-
-// x mod L via binary long division: build the remainder MSB-first,
-// subtracting L whenever it would exceed it.
-Scalar mod_l(const U512& x) noexcept {
-  U512 r;
-  const int hi = top_bit(x);
-  for (int i = hi; i >= 0; --i) {
-    // r = (r << 1) | bit(x, i)
-    u64 carry = bit(x, i) ? 1 : 0;
-    for (int j = 0; j < 8; ++j) {
-      const u64 next_carry = r.w[j] >> 63;
-      r.w[j] = (r.w[j] << 1) | carry;
-      carry = next_carry;
-    }
-    if (ge_l(r)) sub_l(r);
+  u64 r[5];
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const u128 d = u128(x[i]) - ql[i] - borrow;
+    r[i] = u64(d);
+    borrow = u64(d >> 64) & 1;
   }
+  sub_l_if_ge(r);
+
   Scalar out{};
-  for (int i = 0; i < 32; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(r.w[i / 8] >> (8 * (i % 8)));
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
   }
   return out;
-}
-
-// Schoolbook 256x256 -> 512 multiply.
-U512 mul256(const Scalar& a, const Scalar& b) noexcept {
-  u64 aw[4] = {}, bw[4] = {};
-  for (int i = 0; i < 32; ++i) {
-    aw[i / 8] |= u64(a[static_cast<std::size_t>(i)]) << (8 * (i % 8));
-    bw[i / 8] |= u64(b[static_cast<std::size_t>(i)]) << (8 * (i % 8));
-  }
-  U512 r;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 cur = u128(aw[i]) * bw[j] + r.w[i + j] + carry;
-      r.w[i + j] = u64(cur);
-      carry = cur >> 64;
-    }
-    r.w[i + 4] = u64(carry);
-  }
-  return r;
-}
-
-void add_bytes(U512& x, const Scalar& c) noexcept {
-  u128 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    u64 cw = 0;
-    if (i < 4) {
-      for (int b = 0; b < 8; ++b) {
-        cw |= u64(c[static_cast<std::size_t>(8 * i + b)]) << (8 * b);
-      }
-    }
-    u128 cur = u128(x.w[i]) + cw + carry;
-    x.w[i] = u64(cur);
-    carry = cur >> 64;
-  }
-  // carry out of 512 bits cannot occur: product < L^2 << 2^512.
 }
 }  // namespace
 
 Scalar sc_reduce64(const std::array<std::uint8_t, 64>& in) noexcept {
-  return mod_l(from_bytes(in.data(), 64));
+  u64 x[8];
+  load_words(x, in.data(), 64);
+  return mod_l(x);
 }
 
 Scalar sc_reduce32(const Scalar& in) noexcept {
-  return mod_l(from_bytes(in.data(), 32));
+  u64 x[8];
+  load_words(x, in.data(), 32);
+  return mod_l(x);
 }
 
 Scalar sc_muladd(const Scalar& a, const Scalar& b, const Scalar& c) noexcept {
-  U512 prod = mul256(a, b);
-  add_bytes(prod, c);
-  return mod_l(prod);
+  u64 aw[4], bw[4], x[8];
+  load_words(aw, a.data(), 32);
+  load_words(bw, b.data(), 32);
+  load_words(x, c.data(), 32);
+  // x = c + a*b, schoolbook; a*b + c < 2^512 so nothing carries out.
+  for (std::size_t i = 0; i < 4; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const u128 cur = u128(aw[i]) * bw[j] + x[i + j] + carry;
+      x[i + j] = u64(cur);
+      carry = u64(cur >> 64);
+    }
+    for (std::size_t k = i + 4; k < 8; ++k) {
+      const u128 cur = u128(x[k]) + carry;
+      x[k] = u64(cur);
+      carry = u64(cur >> 64);
+    }
+  }
+  return mod_l(x);
 }
 
 bool sc_is_canonical(const Scalar& s) noexcept {
-  const U512 x = from_bytes(s.data(), 32);
-  return !ge_l(x);
+  u64 w[4];
+  load_words(w, s.data(), 32);
+  for (std::size_t i = 4; i-- > 0;) {
+    if (w[i] != kL[i]) return w[i] < kL[i];
+  }
+  return false;  // s == L
 }
 
 }  // namespace ritm::crypto::detail

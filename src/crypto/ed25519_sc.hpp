@@ -1,10 +1,10 @@
 // Scalar arithmetic modulo the edwards25519 group order
 // L = 2^252 + 27742317777372353535851937790883648493.
 //
-// Scalars are 32 little-endian bytes. Reduction uses a small fixed-width
-// bignum with binary long division — a few hundred word operations, chosen
-// for obvious correctness over speed (signing performance is dominated by
-// the scalar multiplication anyway).
+// Scalars are 32 little-endian bytes. Reduction is Barrett's with 64-bit
+// words: fixed-size schoolbook products and a masked final subtraction, so
+// sc_reduce64 and sc_muladd run in constant time on the secret nonce and
+// key during signing.
 #pragma once
 
 #include <array>

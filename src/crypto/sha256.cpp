@@ -262,6 +262,7 @@ void Sha256::compress(const std::uint8_t* block) noexcept {
 }
 
 void Sha256::update(ByteSpan data) noexcept {
+  if (data.empty()) return;  // data() may be null: no memcpy from it
   length_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

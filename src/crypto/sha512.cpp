@@ -91,6 +91,7 @@ void Sha512::compress(const std::uint8_t* block) noexcept {
 }
 
 void Sha512::update(ByteSpan data) noexcept {
+  if (data.empty()) return;  // data() may be null: no memcpy from it
   length_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {

@@ -25,6 +25,14 @@ std::optional<MisbehaviourEvidence> GossipPool::observe(
     const dict::SignedRoot& root) {
   const auto key = keys_->find(root.ca);
   if (!key) return std::nullopt;  // unknown CA: nothing to check against
+  // A byte-identical copy of a held root (signature included) was verified
+  // when it was stored and can neither conflict nor be forged: skip verify.
+  if (const auto ca_it = seen_.find(root.ca); ca_it != seen_.end()) {
+    const auto held = ca_it->second.find(root.n);
+    if (held != ca_it->second.end() && held->second == root) {
+      return std::nullopt;
+    }
+  }
   if (!root.verify(*key)) {
     ++forged_;
     return std::nullopt;  // not the CA's signature: not evidence of its lie

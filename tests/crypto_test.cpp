@@ -33,6 +33,22 @@ std::string hex_of(const std::array<std::uint8_t, N>& a) {
   return to_hex(ByteSpan(a.data(), a.size()));
 }
 
+std::array<std::uint8_t, 32> array32(const Bytes& b) {
+  std::array<std::uint8_t, 32> out{};
+  std::copy(b.begin(), b.end(), out.begin());
+  return out;
+}
+
+std::array<std::uint8_t, 32> bytes32(const char* hex) {
+  return array32(from_hex(hex));
+}
+
+// The group order L and L - 1, little-endian.
+constexpr const char* kLHex =
+    "edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+constexpr const char* kLMinus1Hex =
+    "ecd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010";
+
 // ---------------------------------------------------------------- SHA-256
 
 TEST(Sha256, EmptyString) {
@@ -368,11 +384,84 @@ TEST(Ge25519, NegCancels) {
 
 TEST(Ge25519, ScalarMultSmall) {
   const auto& b = detail::ge_base();
+  const detail::Scalar zero{};
   detail::Scalar three{};
   three[0] = 3;
-  const auto via_scalar = detail::ge_scalarmult(b, three);
   const auto via_adds = detail::ge_add(detail::ge_add(b, b), b);
-  EXPECT_TRUE(detail::ge_equal(via_scalar, via_adds));
+  EXPECT_TRUE(detail::ge_equal(detail::ge_scalarmult_base(three), via_adds));
+  EXPECT_TRUE(detail::ge_equal(
+      detail::ge_double_scalarmult_vartime(three, b, zero), via_adds));
+  EXPECT_TRUE(detail::ge_equal(
+      detail::ge_double_scalarmult_vartime(zero, b, three), via_adds));
+  EXPECT_TRUE(detail::ge_equal(
+      detail::ge_double_scalarmult_vartime(zero, b, zero),
+      detail::ge_identity()));
+}
+
+// Textbook MSB-first double-and-add over all 256 bits: the reference the
+// windowed multiplications are checked against.
+detail::Ge textbook_mul(const detail::Ge& p, const detail::Scalar& n) {
+  detail::Ge r = detail::ge_identity();
+  for (std::size_t i = 256; i-- > 0;) {
+    r = detail::ge_double(r);
+    if ((n[i / 8] >> (i % 8)) & 1) r = detail::ge_add(r, p);
+  }
+  return r;
+}
+
+// A random y decodes about half the time, to a point whose small-order
+// component is uniform, so the multiplications see torsion as well.
+detail::Ge random_point(Rng& rng) {
+  for (int tries = 0; tries < 200; ++tries) {
+    const auto p = detail::ge_from_bytes(array32(rng.bytes(32)));
+    if (p) return *p;
+  }
+  ADD_FAILURE() << "no random encoding decoded";
+  return detail::ge_base();
+}
+
+// 0, 1, L - 1, 2^252, 2^255 and 2^256 - 1.
+std::vector<detail::Scalar> edge_scalars() {
+  std::vector<detail::Scalar> out(6);
+  out[1][0] = 1;
+  out[2] = bytes32(kLMinus1Hex);
+  out[3][31] = 0x10;
+  out[4][31] = 0x80;
+  out[5].fill(0xFF);
+  return out;
+}
+
+TEST(Ge25519, DoubleScalarMultMatchesTextbook) {
+  // [s]B - [k]A exactly as verify calls it: every pair of edge scalars,
+  // then random 256-bit scalars.
+  Rng rng(0xD5);
+  const auto edges = edge_scalars();
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const bool edge = i < edges.size() * edges.size();
+    const auto s = edge ? edges[i / edges.size()] : array32(rng.bytes(32));
+    const auto k = edge ? edges[i % edges.size()] : array32(rng.bytes(32));
+    const auto neg_a = detail::ge_neg(random_point(rng));
+    const auto expected = detail::ge_add(textbook_mul(detail::ge_base(), s),
+                                         textbook_mul(neg_a, k));
+    EXPECT_TRUE(detail::ge_equal(
+        detail::ge_double_scalarmult_vartime(k, neg_a, s), expected))
+        << "triple " << i;
+  }
+}
+
+TEST(Ge25519, ScalarMultBaseMatchesTextbook) {
+  // Every scalar below 2^255 is in the contract (clamped keys, nonces < L).
+  Rng rng(0xB5);
+  auto edges = edge_scalars();
+  edges.pop_back();  // 2^256 - 1 and 2^255 are out of range
+  edges.pop_back();
+  for (std::size_t i = 0; i < 200; ++i) {
+    auto a = i < edges.size() ? edges[i] : array32(rng.bytes(32));
+    a[31] &= 0x7F;
+    EXPECT_TRUE(detail::ge_equal(detail::ge_scalarmult_base(a),
+                                 textbook_mul(detail::ge_base(), a)))
+        << "scalar " << i;
+  }
 }
 
 TEST(Ge25519, CompressDecompressRoundTrip) {
@@ -403,6 +492,57 @@ TEST(Sc25519, LReducesToZero) {
   std::copy(l_bytes.begin(), l_bytes.end(), l.begin());
   const auto r = detail::sc_reduce64(l);
   for (auto b : r) EXPECT_EQ(b, 0);
+}
+
+// Textbook reference for the Barrett reduction: MSB-first binary long
+// division by L.
+detail::Scalar reduce_reference(const std::array<std::uint8_t, 64>& in) {
+  using u64 = std::uint64_t;
+  const auto l_bytes = bytes32(kLHex);
+  u64 l[4] = {}, r[4] = {};
+  for (std::size_t i = 0; i < 32; ++i) {
+    l[i / 8] |= u64(l_bytes[i]) << (8 * (i % 8));
+  }
+  for (std::size_t bit = 512; bit-- > 0;) {
+    for (std::size_t w = 3; w > 0; --w) r[w] = (r[w] << 1) | (r[w - 1] >> 63);
+    r[0] = (r[0] << 1) | ((in[bit / 8] >> (bit % 8)) & 1);
+    bool at_least_l = true;
+    for (std::size_t w = 4; w-- > 0;) {
+      if (r[w] != l[w]) {
+        at_least_l = r[w] > l[w];
+        break;
+      }
+    }
+    if (!at_least_l) continue;
+    u64 borrow = 0;
+    for (std::size_t w = 0; w < 4; ++w) {
+      const u64 sub = l[w] + borrow;  // no word of L is all ones
+      borrow = r[w] < sub ? 1 : 0;
+      r[w] -= sub;
+    }
+  }
+  detail::Scalar out{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    out[i] = static_cast<std::uint8_t>(r[i / 8] >> (8 * (i % 8)));
+  }
+  return out;
+}
+
+TEST(Sc25519, ReduceMatchesLongDivision) {
+  Rng rng(0x5C);
+  std::vector<std::array<std::uint8_t, 64>> inputs(4);
+  inputs[1].fill(0xFF);  // 2^512 - 1
+  const auto l = bytes32(kLHex), l_minus_1 = bytes32(kLMinus1Hex);
+  std::copy(l.begin(), l.end(), inputs[2].begin());
+  std::copy(l_minus_1.begin(), l_minus_1.end(), inputs[3].begin());
+  for (int i = 0; i < 2000; ++i) {
+    const Bytes b = rng.bytes(64);
+    std::copy(b.begin(), b.end(), inputs.emplace_back().begin());
+  }
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(detail::sc_reduce64(inputs[i]), reduce_reference(inputs[i]))
+        << "input " << i;
+  }
 }
 
 TEST(Sc25519, MulAddMatchesManualSmall) {
@@ -548,6 +688,173 @@ TEST(Ed25519, NonCanonicalSRejected) {
   pub[0] = 1;
   const Bytes msg = ritm::bytes_of("x");
   EXPECT_FALSE(verify(span_of(msg), sig, pub));
+}
+
+// ------------------------------------------------ pinned verify verdicts
+//
+// The verdicts below were recorded from the original verify kernel (two
+// independent fixed-window ladders, [s]B == R + [k]A) before the joint
+// double-scalar kernel replaced it. A flipped verdict changes which
+// signatures RITM accepts, so it is a protocol change, not a speedup.
+
+struct NamedEncoding {
+  std::string name;
+  std::array<std::uint8_t, 32> enc;
+};
+
+struct EdgeFixture {
+  Bytes msg = ritm::bytes_of("ritm edge");
+  KeyPair kp{};
+  Signature sig{};
+  std::vector<NamedEncoding> points;  // used both as A and as R
+  std::vector<NamedEncoding> scalars;
+};
+
+EdgeFixture edge_fixture() {
+  EdgeFixture f;
+  Seed seed{};
+  seed.fill(0x5A);
+  f.kp = keypair_from_seed(seed);
+  f.sig = sign(span_of(f.msg), f.kp.seed);
+  std::array<std::uint8_t, 32> r_real{}, s_real{};
+  std::copy(f.sig.begin(), f.sig.begin() + 32, r_real.begin());
+  std::copy(f.sig.begin() + 32, f.sig.end(), s_real.begin());
+
+  const char* kOrder8 =
+      "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a";
+  const auto t8 = *detail::ge_from_bytes(bytes32(kOrder8));
+  const auto a_pt = *detail::ge_from_bytes(f.kp.public_key);
+  f.points = {
+      {"id", bytes32("01000000000000000000000000000000"
+                     "00000000000000000000000000000000")},
+      {"-0id", bytes32("01000000000000000000000000000000"
+                       "00000000000000000000000000000080")},
+      {"ord2", bytes32("ecffffffffffffffffffffffffffffff"
+                       "ffffffffffffffffffffffffffffff7f")},
+      {"-0ord2", bytes32("ecffffffffffffffffffffffffffffff"
+                         "ffffffffffffffffffffffffffffffff")},
+      {"ord4+", bytes32("00000000000000000000000000000000"
+                        "00000000000000000000000000000000")},
+      {"ord4-", bytes32("00000000000000000000000000000000"
+                        "00000000000000000000000000000080")},
+      {"ord8a", bytes32(kOrder8)},
+      {"ord8b", bytes32("c7176a703d4dd84fba3c0b760d10670f"
+                        "2a2053fa2c39ccc64ec7fd7792ac03fa")},
+      {"ord8c", bytes32("26e8958fc2b227b045c3f489f2ef98f0"
+                        "d5dfac05d3c63339b13802886d53fc05")},
+      {"ord8d", bytes32("26e8958fc2b227b045c3f489f2ef98f0"
+                        "d5dfac05d3c63339b13802886d53fc85")},
+      // y >= p: non-canonical encodings of y = 0 and y = 1.
+      {"y=p", bytes32("edffffffffffffffffffffffffffffff"
+                      "ffffffffffffffffffffffffffffff7f")},
+      {"y=p,-", bytes32("edffffffffffffffffffffffffffffff"
+                        "ffffffffffffffffffffffffffffffff")},
+      {"y=p+1", bytes32("eeffffffffffffffffffffffffffffff"
+                        "ffffffffffffffffffffffffffffff7f")},
+      {"y=p+1,-", bytes32("eeffffffffffffffffffffffffffffff"
+                          "ffffffffffffffffffffffffffffffff")},
+      {"y=2^255-1", bytes32("ffffffffffffffffffffffffffffffff"
+                            "ffffffffffffffffffffffffffffff7f")},
+      {"offcurve", bytes32("02000000000000000000000000000000"
+                           "00000000000000000000000000000000")},
+      {"B", detail::ge_to_bytes(detail::ge_base())},
+      {"B+T8", detail::ge_to_bytes(detail::ge_add(detail::ge_base(), t8))},
+      {"A", f.kp.public_key},
+      {"A+T8", detail::ge_to_bytes(detail::ge_add(a_pt, t8))},
+      {"R", r_real},
+  };
+  std::array<std::uint8_t, 32> one{};
+  one[0] = 1;
+  std::array<std::uint8_t, 32> all_ones{};
+  all_ones.fill(0xFF);
+  f.scalars = {
+      {"0", {}},
+      {"1", one},
+      {"s", s_real},
+      {"L-1", bytes32(kLMinus1Hex)},
+      {"L", bytes32(kLHex)},
+      {"2^256-1", all_ones},
+  };
+  return f;
+}
+
+TEST(Ed25519Pinned, EdgeEncodingsAreWhatTheyClaim) {
+  const auto f = edge_fixture();
+  auto find = [&](const std::string& name) {
+    for (const auto& p : f.points) {
+      if (p.name == name) return detail::ge_from_bytes(p.enc);
+    }
+    ADD_FAILURE() << name;
+    return std::optional<detail::Ge>();
+  };
+  for (const char* name : {"-0id", "-0ord2", "offcurve"}) {
+    EXPECT_FALSE(find(name).has_value()) << name;
+  }
+  for (const char* name : {"id", "ord2", "ord4+", "ord4-", "ord8a", "ord8b",
+                           "ord8c", "ord8d", "y=p", "y=p,-", "y=p+1"}) {
+    const auto p = find(name);
+    ASSERT_TRUE(p.has_value()) << name;
+    const auto p8 = detail::ge_double(detail::ge_double(detail::ge_double(*p)));
+    EXPECT_TRUE(detail::ge_equal(p8, detail::ge_identity())) << name;
+  }
+}
+
+// Every (A, R, S) in the grid edge points x edge points x edge scalars is
+// verified over one message; the accepted triples are pinned, every other
+// triple must be rejected.
+TEST(Ed25519Pinned, EdgeGridVerdicts) {
+  const auto f = edge_fixture();
+  std::vector<std::string> accepted;
+  for (const auto& a : f.points) {
+    for (const auto& r : f.points) {
+      for (const auto& s : f.scalars) {
+        Signature sig{};
+        std::copy(r.enc.begin(), r.enc.end(), sig.begin());
+        std::copy(s.enc.begin(), s.enc.end(), sig.begin() + 32);
+        if (verify(span_of(f.msg), sig, a.enc)) {
+          accepted.push_back(a.name + "/" + r.name + "/" + s.name);
+        }
+      }
+    }
+  }
+  const std::vector<std::string> expected = {
+      "id/id/0", "id/y=p+1/0", "id/B/1", "ord2/id/0", "ord2/y=p+1/0",
+      "ord2/B/1", "ord4+/id/0", "ord4+/ord2/0", "ord8a/ord2/0",
+      "ord8a/B+T8/1", "ord8b/ord2/0", "ord8b/B+T8/1", "ord8c/ord8c/0",
+      "ord8c/B+T8/1", "ord8d/ord8a/0", "ord8d/ord8b/0", "y=p/ord2/0",
+      "y=p/y=p,-/0", "y=p/y=p+1/0", "y=p,-/ord2/0", "y=p,-/ord4-/0",
+      "y=p,-/y=p,-/0", "y=p,-/B/1", "y=p+1/id/0", "y=p+1/y=p+1/0",
+      "y=p+1/B/1", "A/R/s"};
+  EXPECT_EQ(accepted, expected) << ::testing::PrintToString(accepted);
+}
+
+// 2,000 random keys and messages; each signature is checked, then one byte
+// of (signature || public key || message) is replaced by a different value.
+TEST(Ed25519Pinned, MutatedSignatureVerdicts) {
+  Rng rng(0xED25519);
+  std::vector<int> accepted_mutants;
+  for (int i = 0; i < 2000; ++i) {
+    Seed seed{};
+    const Bytes sb = rng.bytes(32);
+    std::copy(sb.begin(), sb.end(), seed.begin());
+    const auto kp = keypair_from_seed(seed);
+    Bytes msg = rng.bytes(rng.uniform(48));
+    Signature sig = sign(span_of(msg), kp.seed);
+    PublicKey pub = kp.public_key;
+    ASSERT_TRUE(verify(span_of(msg), sig, pub)) << i;
+
+    const std::size_t pos = rng.uniform(64 + 32 + msg.size());
+    const auto delta = static_cast<std::uint8_t>(1 + rng.uniform(255));
+    if (pos < 64) {
+      sig[pos] ^= delta;
+    } else if (pos < 96) {
+      pub[pos - 64] ^= delta;
+    } else {
+      msg[pos - 96] ^= delta;
+    }
+    if (verify(span_of(msg), sig, pub)) accepted_mutants.push_back(i);
+  }
+  EXPECT_EQ(accepted_mutants, std::vector<int>{});
 }
 
 // ------------------------------------------------------------ hash chain

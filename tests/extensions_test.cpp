@@ -224,6 +224,25 @@ TEST_F(GossipTest, ForgedRootsIgnored) {
   EXPECT_EQ(pool.forged_dropped(), 1u);
 }
 
+TEST_F(GossipTest, IdenticalResendIsNeitherEvidenceNorForgery) {
+  ra::GossipPool pool(&keys_);
+  const auto msg = ca_.revoke({SerialNumber::from_uint(1)}, 1000);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(pool.observe(msg.signed_root).has_value());
+  }
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.forged_dropped(), 0u);
+
+  // Same (ca, n, root) with one signature bit flipped is not a duplicate:
+  // it is verified, dropped as forged, and the held root stays.
+  auto tampered = msg.signed_root;
+  tampered.signature[5] ^= 0x10;
+  EXPECT_FALSE(pool.observe(tampered).has_value());
+  EXPECT_EQ(pool.forged_dropped(), 1u);
+  ASSERT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool.roots()[0], msg.signed_root);
+}
+
 TEST_F(GossipTest, UnknownCaIgnored) {
   ra::GossipPool pool(&keys_);
   auto other = make_ca("CA-OTHER", 21);
