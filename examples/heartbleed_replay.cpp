@@ -62,6 +62,7 @@ int main() {
   cdn::LocalCdn cdn_rpc(&cdn);
   ca::SyncService sync_service;
   for (const auto& ca : cas) sync_service.add(ca.get());
+  sync_service.set_period_source(&dp);
   svc::InProcessTransport sync_rpc(&sync_service);
   ra::RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &store, &cdn_rpc.rpc,
                         &sync_rpc);

@@ -1,5 +1,6 @@
 #include "ca/authority.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/io.hpp"
@@ -54,6 +55,7 @@ cert::Certificate CertificationAuthority::issue(
 
 void CertificationAuthority::resign(UnixSeconds now) {
   chain_ = crypto::HashChain(chain_seed_from(rng_), config_.chain_length);
+  disclosed_period_ = 0;
   root_ = dict::SignedRoot::make(config_.id, dict_.root(), dict_.size(),
                                  chain_.anchor(), now, keypair_);
 }
@@ -80,9 +82,15 @@ crypto::Digest20 CertificationAuthority::freshness_at(UnixSeconds now) const {
   return chain_.statement(p);
 }
 
+crypto::Digest20 CertificationAuthority::disclosed_freshness_at(
+    UnixSeconds now) const {
+  return chain_.statement(std::min(period_at(now), disclosed_period_));
+}
+
 FeedMessage CertificationAuthority::refresh(UnixSeconds now) {
   const std::uint64_t p = period_at(now);
   if (p < chain_.length()) {
+    disclosed_period_ = std::max(disclosed_period_, p);
     return FeedMessage::of(
         dict::FreshnessStatement{config_.id, chain_.statement(p)});
   }

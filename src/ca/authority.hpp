@@ -63,6 +63,11 @@ class CertificationAuthority {
   /// Freshness statement for the period containing `now` (Eq. (2)).
   crypto::Digest20 freshness_at(UnixSeconds now) const;
 
+  /// freshness_at(now), but never for a period past the newest one
+  /// refresh() has disclosed under the current root: what an endpoint may
+  /// answer on a requester's clock without releasing future statements.
+  crypto::Digest20 disclosed_freshness_at(UnixSeconds now) const;
+
   /// Current period index p = floor((now - t)/∆) relative to the latest
   /// signed root.
   std::uint64_t period_at(UnixSeconds now) const;
@@ -96,6 +101,7 @@ class CertificationAuthority {
   dict::Dictionary dict_;
   crypto::HashChain chain_;
   dict::SignedRoot root_;
+  std::uint64_t disclosed_period_ = 0;  // newest refresh() under root_
   std::uint64_t next_serial_ = 1;
 };
 

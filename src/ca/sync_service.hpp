@@ -1,8 +1,8 @@
 // The feed sync endpoint (paper §III: "the RA contacts an edge server
 // specifying the number of valid consecutive revocations it has observed")
-// as an envelope service. Replaces the RaUpdater::SyncFn std::function
-// hook: the server side is backed by the CAs' live dictionaries, the RA
-// reaches it through any svc::Transport.
+// as an envelope service, Method::feed_delta: the server side is backed by
+// the CAs' live dictionaries and a distribution point's feed cursor, the
+// RA reaches it through any svc::Transport.
 #pragma once
 
 #include <map>
@@ -12,27 +12,11 @@
 
 namespace ritm::ca {
 
-/// Body layout for Method::feed_sync (shared with ra::RaUpdater):
-///
-/// Request body:  u64 now_s | dict::SyncRequest encoding
-/// Response body: dict::SyncResponse encoding
-Bytes encode_sync_request(const dict::SyncRequest& req, UnixSeconds now);
-
-/// The one decoder of the feed_sync request body — every server-side
-/// handler (SyncService, the legacy-hook adapter in ra/updater.cpp) parses
-/// through here so the grammar cannot drift between them.
-struct DecodedSyncRequest {
-  UnixSeconds now = 0;
-  dict::SyncRequest request;
-};
-std::optional<DecodedSyncRequest> decode_sync_request(ByteSpan body);
-
-/// Body layouts for Method::feed_delta (PR 8, delta sync): the classic sync
-/// exchange plus the RA's feed cursor; the response carries the first feed
-/// period the RA still needs, so the cursor skips period objects the sync
-/// already subsumes. Fixed-width fields ride *before* the embedded
-/// encodings because SyncRequest/SyncResponse decoders consume their whole
-/// span.
+/// Body layouts for Method::feed_delta: the RA's entry have-set plus its
+/// feed cursor; the response carries the first feed period the RA still
+/// needs, so the cursor skips period objects the sync already subsumes.
+/// Fixed-width fields ride *before* the embedded encodings because
+/// SyncRequest/SyncResponse decoders consume their whole span.
 ///
 /// Request body:  u64 now_s | u64 cursor_period | dict::SyncRequest
 /// Response body: u64 resume_period | dict::SyncResponse
@@ -55,11 +39,11 @@ class SyncService final : public svc::Service {
   /// must outlive the service.
   void add(const CertificationAuthority* ca);
 
-  /// Enables Method::feed_delta: `dp` (which must outlive the service) says
-  /// which feed period the next publish() writes, so delta responses can
-  /// tell the RA where its cursor may resume. Without a period source the
-  /// service answers feed_delta with unknown_method — exactly what a
-  /// pre-delta server would say — and clients fall back to feed_sync.
+  /// Wires the feed cursor: `dp` (which must outlive the service) says
+  /// which feed period the next publish() writes, so responses can tell
+  /// the RA where its cursor may resume. Until wired the service answers
+  /// `unavailable` — never unknown_method, which would read as a
+  /// capability answer.
   void set_period_source(const DistributionPoint* dp) noexcept {
     periods_ = dp;
   }

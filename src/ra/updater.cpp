@@ -95,7 +95,9 @@ void RaUpdater::apply_message(const ca::FeedMessage& msg, UnixSeconds now) {
   }
 }
 
-bool RaUpdater::run_delta_sync(const cert::CaId& ca, UnixSeconds now) {
+void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
+  if (sync_rpc_ == nullptr) return;
+  ++totals_.syncs;
   svc::Request req;
   req.method = svc::Method::feed_delta;
   req.body = ca::encode_delta_request({ca, store_->have_n(ca)}, now,
@@ -103,74 +105,40 @@ bool RaUpdater::run_delta_sync(const cert::CaId& ca, UnixSeconds now) {
   const svc::CallResult result = sync_rpc_->call(req);
   totals_.latency_ms += result.latency_ms;
   if (!result.ok()) {
-    if (result.status == svc::Status::ok &&
-        result.response.status == svc::Status::unknown_method) {
-      // A pre-delta sync server (or one without a period source): not a
-      // failure, a capability probe. Remember and retry over feed_sync.
-      delta_sync_supported_ = false;
-      return false;
-    }
     count_rejected(result.error());
-    return true;
+    return;
   }
   ByteReader r(ByteSpan(result.response.body));
   const auto resume = r.try_u64();
   if (!resume) {
     count_rejected(svc::Status::malformed);
-    return true;
+    return;
   }
   const auto resp =
       dict::SyncResponse::decode(ByteSpan(result.response.body).subspan(8));
   if (!resp) {
     count_rejected(svc::Status::malformed);
-    return true;
+    return;
   }
   totals_.sync_bytes += resp->wire_size();
   const ApplyResult applied = store_->apply_sync(*resp, now);
   if (applied != ApplyResult::ok) {
     count_rejected(applied);
-    return true;
+    return;
   }
   ++totals_.applied_ok;
-  ++totals_.delta_syncs;
   // The response carries the CA's full dictionary state up to the server's
   // current period: re-pulling the feed objects below `resume` would only
   // replay what was just applied, so the cursor skips them (the same
   // fast-forward contract as bootstrap()'s upto_period — and, as there, a
   // skipped period touching another CA self-heals through that CA's own
-  // gap-triggered sync). Never rewind a fresher cursor.
-  if (*resume > next_period_) {
-    totals_.periods_skipped += *resume - next_period_;
-    next_period_ = *resume;
+  // gap-triggered sync). Syncs run while pull_up_to() applies period
+  // next_period_, which then steps the cursor by one: land it on `resume`.
+  // Never rewind a fresher cursor.
+  if (*resume > next_period_ + 1) {
+    totals_.periods_skipped += *resume - (next_period_ + 1);
+    next_period_ = *resume - 1;
     mark_period();
-  }
-  return true;
-}
-
-void RaUpdater::run_sync(const cert::CaId& ca, UnixSeconds now) {
-  if (sync_rpc_ == nullptr) return;
-  ++totals_.syncs;
-  if (delta_sync_supported_ && run_delta_sync(ca, now)) return;
-  svc::Request req;
-  req.method = svc::Method::feed_sync;
-  req.body = ca::encode_sync_request({ca, store_->have_n(ca)}, now);
-  const svc::CallResult result = sync_rpc_->call(req);
-  totals_.latency_ms += result.latency_ms;
-  if (!result.ok()) {
-    count_rejected(result.error());
-    return;
-  }
-  const auto resp = dict::SyncResponse::decode(ByteSpan(result.response.body));
-  if (!resp) {
-    count_rejected(svc::Status::malformed);
-    return;
-  }
-  totals_.sync_bytes += resp->wire_size();
-  const ApplyResult applied = store_->apply_sync(*resp, now);
-  if (applied == ApplyResult::ok) {
-    ++totals_.applied_ok;
-  } else {
-    count_rejected(applied);
   }
 }
 

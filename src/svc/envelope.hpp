@@ -58,9 +58,9 @@ enum class Method : std::uint16_t {
   /// u32 len + object bytes (owned by the response, never a view into the
   /// origin).
   cdn_get = 1,
-  /// Feed resynchronization (replaces RaUpdater::SyncFn). Body: u64 now_s +
-  /// dict::SyncRequest. Response: dict::SyncResponse.
-  feed_sync = 2,
+  // Id 2 is retired: it was a resync RPC without the feed cursor, which
+  // feed_delta superseded. It is never reused; servers answer it
+  // unknown_method.
   /// RA<->RA gossip root exchange. Body: u32 count + count x var16
   /// SignedRoot. Response: the peer's roots in the same shape, then u32
   /// count + count x (var16 ours, var16 theirs) MisbehaviourEvidence pairs
@@ -85,12 +85,11 @@ enum class Method : std::uint16_t {
   /// missing. Response: the requested roots + the evidence the peer found
   /// observing the pushed ones (same tail shape as gossip_roots).
   gossip_pull = 7,
-  /// Delta feed sync (replaces a feed_sync + per-period re-pulls): the RA
-  /// advertises its entry have-set *and* its feed cursor; the response is
-  /// the classic SyncResponse plus the first period the RA still needs, so
-  /// the cursor can skip period objects the sync already covers. Servers
-  /// without a period source answer unknown_method (callers fall back to
-  /// feed_sync).
+  /// Feed resynchronization, the one resync RPC: the RA advertises its
+  /// entry have-set *and* its feed cursor; the response is a SyncResponse
+  /// plus the first period the RA still needs, so the cursor can skip
+  /// period objects the sync already covers. Body layouts in
+  /// ca/sync_service.hpp.
   feed_delta = 8,
 };
 

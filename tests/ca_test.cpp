@@ -78,6 +78,28 @@ TEST(Authority, RefreshResignsWhenChainExhausted) {
   EXPECT_GT(msg.issuance->signed_root.timestamp, old_root.timestamp);
 }
 
+TEST(Authority, DisclosedFreshnessNeverPassesLastRefresh) {
+  auto ca = make_ca(10, /*now=*/1000, /*delta=*/10, /*chain=*/8);
+  const UnixSeconds far = UnixSeconds{1} << 40;
+  // Nothing released yet: only the anchor, whatever the clock says.
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.signed_root().freshness_anchor);
+
+  ca.refresh(1030);  // releases period 3
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.freshness_at(1030));
+  EXPECT_EQ(ca.disclosed_freshness_at(1010), ca.freshness_at(1010));
+  ca.refresh(1020);  // a late, older refresh does not lower the mark
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.freshness_at(1030));
+
+  // Chain exhausted (p = 9 >= m = 8): the re-signed root starts over.
+  ASSERT_EQ(ca.refresh(1090).type, FeedMessage::Type::issuance);
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.signed_root().freshness_anchor);
+  ca.refresh(1110);  // period 2 of the new root
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.freshness_at(1110));
+  // revoke() rolls a new chain too.
+  ca.revoke({cert::SerialNumber::from_uint(1)}, 1200);
+  EXPECT_EQ(ca.disclosed_freshness_at(far), ca.signed_root().freshness_anchor);
+}
+
 TEST(Authority, PeriodAt) {
   auto ca = make_ca(7, /*now=*/1000, /*delta=*/10);
   EXPECT_EQ(ca.period_at(1000), 0u);

@@ -269,6 +269,7 @@ struct FeedWorld {
   explicit FeedWorld(std::uint64_t seed) : ca(make_ca(seed)) {
     dp.register_ca(ca.id(), ca.public_key());
     sync_service.add(&ca);
+    sync_service.set_period_source(&dp);
     Rng rng(seed ^ 0x5eed);
     UnixSeconds t = 1000;
     std::uint64_t serial = 1;

@@ -38,6 +38,7 @@ class Deployment {
         updater_({sim::GeoPoint{47.4, 8.5}}, &store_, &cdn_rpc_.rpc,
                  &sync_rpc_) {
     sync_service_.add(&ca_);
+    sync_service_.set_period_source(&dp_);
     dp_.register_ca(ca_.id(), ca_.public_key());
     store_.register_ca(ca_.id(), ca_.public_key(), kDelta);
     roots_.add(ca_.id(), ca_.public_key());

@@ -689,6 +689,7 @@ TEST(Updater, GapTriggersSync) {
   cdn::LocalCdn cdn_rpc(&cdn);
   ca::SyncService sync_service;
   sync_service.add(&ca);
+  sync_service.set_period_source(&dp);
   svc::InProcessTransport sync_rpc(&sync_service);
   RaUpdater updater({sim::GeoPoint{47.4, 8.5}}, &store, &cdn_rpc.rpc,
                     &sync_rpc);

@@ -119,7 +119,7 @@ TEST(Envelope, TruncationAtEveryFramingByte) {
   // Every strict prefix of a valid frame must come back `truncated` with
   // nothing consumed — the "wait for more bytes" signal, never an error,
   // never a partial decode.
-  const auto req = make_request(svc::Method::feed_sync, {9, 8, 7, 6, 5});
+  const auto req = make_request(svc::Method::feed_delta, {9, 8, 7, 6, 5});
   const Bytes frame = svc::encode_frame(req);
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
     const auto d = svc::decode_frame(ByteSpan(frame.data(), cut));
@@ -387,6 +387,7 @@ TEST(SyncEndpoint, GapRecoveryOverTransport) {
   cdn::LocalCdn cdn_rpc(&cdn);
   ca::SyncService sync_service;
   sync_service.add(&ca);
+  sync_service.set_period_source(&dp);
   svc::InProcessTransport sync_rpc(&sync_service);
 
   ra::DictionaryStore store;
@@ -405,6 +406,190 @@ TEST(SyncEndpoint, GapRecoveryOverTransport) {
   EXPECT_EQ(store.have_n(ca.id()), 2u);
   EXPECT_FALSE(store.needs_sync(ca.id()));
   EXPECT_EQ(updater.totals().rejected, 0u);
+}
+
+/// Calls `service` with a feed_delta request for `ca` as a fresh RA
+/// (have_n 0, cursor 0) whose clock reads `now_s`.
+svc::CallResult call_delta(svc::Service& service, const cert::CaId& ca,
+                           UnixSeconds now_s) {
+  svc::InProcessTransport rpc(&service);
+  return rpc.call(make_request(svc::Method::feed_delta,
+                               ca::encode_delta_request({ca, 0}, now_s, 0)));
+}
+
+/// The SyncResponse of a feed_delta reply (past the u64 resume prefix).
+dict::SyncResponse delta_response(const svc::CallResult& r) {
+  EXPECT_TRUE(r.ok());
+  EXPECT_GE(r.response.body.size(), 8u);
+  const auto resp =
+      dict::SyncResponse::decode(ByteSpan(r.response.body).subspan(8));
+  EXPECT_TRUE(resp.has_value());
+  return resp.value_or(dict::SyncResponse{});
+}
+
+TEST(SyncEndpoint, NeverDisclosesUnreleasedFreshness) {
+  // The requester's clock must not pull hash-chain statements the CA has
+  // not released: with m = 1024 and the root at t = 1000, a request at
+  // now_s = 6000 would be period 500, and one at 2^40 the chain seed v
+  // itself — from which every future statement of this root follows.
+  Rng rng(46);
+  ca::CertificationAuthority::Config cfg;
+  cfg.id = "CA-1";
+  cfg.delta = 10;
+  cfg.chain_length = 1024;
+  ca::CertificationAuthority ca(cfg, rng, 1000);
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp(&cdn, 10);
+  dp.register_ca(ca.id(), ca.public_key());
+  ca::SyncService sync_service;
+  sync_service.add(&ca);
+  sync_service.set_period_source(&dp);
+
+  ca.refresh(1050);  // the newest released statement: period 5
+  const auto anchor = ca.signed_root().freshness_anchor;
+  for (const UnixSeconds now_s : {UnixSeconds{6000}, UnixSeconds{1} << 40}) {
+    const auto resp = delta_response(call_delta(sync_service, ca.id(), now_s));
+    EXPECT_EQ(resp.freshness, ca.freshness_at(1050)) << "now_s " << now_s;
+    EXPECT_TRUE(crypto::HashChain::verify(resp.freshness, 5, anchor));
+  }
+  // An earlier requester clock still gets its own (released) period.
+  EXPECT_EQ(delta_response(call_delta(sync_service, ca.id(), 1030)).freshness,
+            ca.freshness_at(1030));
+
+  // A new root rolls a new chain: nothing of it is released but the anchor.
+  ca.revoke({SerialNumber::from_uint(1)}, 2000);
+  const auto resp =
+      delta_response(call_delta(sync_service, ca.id(), UnixSeconds{1} << 40));
+  EXPECT_EQ(resp.freshness, ca.signed_root().freshness_anchor);
+}
+
+TEST(SyncEndpoint, UnwiredServiceAnswersUnavailable) {
+  auto ca = make_ca(47);
+  ca::SyncService unwired;
+  unwired.add(&ca);
+  EXPECT_EQ(call_delta(unwired, ca.id(), 1000).error(),
+            svc::Status::unavailable);
+
+  // Once wired it serves; the retired id 2 and other methods stay unknown.
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp(&cdn, 10);
+  unwired.set_period_source(&dp);
+  EXPECT_TRUE(call_delta(unwired, ca.id(), 1000).ok());
+  svc::InProcessTransport rpc(&unwired);
+  for (const std::uint16_t method : {2, 4}) {
+    EXPECT_EQ(rpc.call(make_request(static_cast<svc::Method>(method),
+                                    ca::encode_delta_request(
+                                        {ca.id(), 0}, 1000, 0)))
+                  .error(),
+              svc::Status::unknown_method)
+        << "method " << method;
+  }
+}
+
+/// A world for cursor tests: the RA misses CA-1's first revocation, so the
+/// issuance in feed period 0 exposes a gap; periods 1..3 carry freshness
+/// statements the RA has not pulled yet.
+struct GapWorld {
+  ca::CertificationAuthority ca = make_ca(48);
+  cdn::Cdn cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint dp{&cdn, 10};
+  cdn::LocalCdn cdn_rpc{&cdn};
+  ra::DictionaryStore store;
+
+  GapWorld() {
+    dp.register_ca(ca.id(), ca.public_key());
+    store.register_ca(ca.id(), ca.public_key(), ca.delta());
+    ca.revoke({SerialNumber::from_uint(1)}, 1000);  // never disseminated
+    dp.submit(ca::FeedMessage::of(
+        ca.revoke({SerialNumber::from_uint(2)}, 1010)));
+    dp.publish(from_seconds(1010));
+    for (UnixSeconds t = 1020; t <= 1040; t += 10) {
+      dp.submit(ca.refresh(t));
+      dp.publish(from_seconds(t));
+    }
+  }
+};
+
+TEST(SyncEndpoint, GapSyncResumesCursorAtDistributionPoint) {
+  GapWorld w;
+  ca::SyncService sync_service;
+  sync_service.add(&w.ca);
+  sync_service.set_period_source(&w.dp);
+  svc::InProcessTransport sync_rpc(&sync_service);
+  ra::RaUpdater updater({}, &w.store, &w.cdn_rpc.rpc, &sync_rpc);
+
+  updater.pull_up_to(0, from_seconds(1040));
+  EXPECT_EQ(updater.totals().syncs, 1u);
+  EXPECT_EQ(w.store.have_n(w.ca.id()), 2u);
+  // The sync carried the state through period 3: the cursor resumes where
+  // the distribution point publishes next, and periods 1..3 are skipped.
+  EXPECT_EQ(updater.next_period(), w.dp.next_period());
+  EXPECT_EQ(updater.totals().periods_skipped, 3u);
+  EXPECT_EQ(updater.totals().rejected, 0u);
+
+  updater.pull_up_to(3, from_seconds(1040));
+  EXPECT_EQ(updater.totals().pulls, 1u);  // no skipped period re-pulled
+}
+
+TEST(SyncEndpoint, ResumeBelowCursorNeverRewinds) {
+  // The sync server's period source lags (nothing published there yet):
+  // its resume_period 0 is below the RA's cursor and must be ignored.
+  GapWorld w;
+  cdn::Cdn lagging_cdn = cdn::make_global_cdn(0);
+  ca::DistributionPoint lagging(&lagging_cdn, 10);
+  ca::SyncService sync_service;
+  sync_service.add(&w.ca);
+  sync_service.set_period_source(&lagging);
+  svc::InProcessTransport sync_rpc(&sync_service);
+  ra::RaUpdater updater({}, &w.store, &w.cdn_rpc.rpc, &sync_rpc);
+
+  updater.pull_up_to(3, from_seconds(1040));
+  EXPECT_EQ(updater.totals().syncs, 1u);
+  EXPECT_EQ(w.store.have_n(w.ca.id()), 2u);
+  EXPECT_EQ(updater.next_period(), 4u);
+  EXPECT_EQ(updater.totals().periods_skipped, 0u);
+  EXPECT_EQ(updater.totals().pulls, 4u);
+}
+
+TEST(SyncEndpoint, TruncatedResumePrefixIsMalformed) {
+  // A reply cut inside its u64 resume_period: counted malformed, nothing
+  // applied, the cursor untouched by the sync.
+  class Truncating final : public svc::Service {
+   public:
+    Truncating(svc::Service* inner, std::size_t keep)
+        : inner_(inner), keep_(keep) {}
+    svc::ServeResult handle(const svc::Request& req) override {
+      auto out = inner_->handle(req);
+      out.response.body.resize(std::min(keep_, out.response.body.size()));
+      return out;
+    }
+
+   private:
+    svc::Service* inner_;
+    std::size_t keep_;
+  };
+
+  for (std::size_t keep = 0; keep < 8; ++keep) {
+    GapWorld w;
+    ca::SyncService sync_service;
+    sync_service.add(&w.ca);
+    sync_service.set_period_source(&w.dp);
+    Truncating truncating(&sync_service, keep);
+    svc::InProcessTransport sync_rpc(&truncating);
+    ra::RaUpdater updater({}, &w.store, &w.cdn_rpc.rpc, &sync_rpc);
+
+    updater.pull_up_to(0, from_seconds(1040));
+    const auto& t = updater.totals();
+    EXPECT_EQ(t.syncs, 1u) << "keep " << keep;
+    ASSERT_TRUE(t.rejected_by.contains(svc::Status::malformed))
+        << "keep " << keep;
+    EXPECT_EQ(t.rejected_by.at(svc::Status::malformed), 1u) << "keep " << keep;
+    EXPECT_EQ(t.applied_ok, 0u) << "keep " << keep;
+    EXPECT_EQ(t.sync_bytes, 0u) << "keep " << keep;
+    EXPECT_EQ(w.store.have_n(w.ca.id()), 0u) << "keep " << keep;
+    EXPECT_EQ(t.periods_skipped, 0u) << "keep " << keep;
+    EXPECT_EQ(updater.next_period(), 1u) << "keep " << keep;
+  }
 }
 
 TEST(GossipEndpoint, ExchangeOverTransportMatchesDirectExchange) {

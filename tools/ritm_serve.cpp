@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   gossip.observe(ca.signed_root());
 
   // One port, full deployment surface: RA status/gossip endpoints plus the
-  // CDN object store (cold-start bootstrap) and the CA feed sync/delta
+  // CDN object store (cold-start bootstrap) and the CA feed_delta sync
   // endpoints, muxed by method — what a fresh RA or a scenario driver needs
   // to go from nothing to serving without a second address.
   ca::DistributionPoint dp(&global_cdn, delta);
@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
   svc::MuxService mux;
   mux.set_default(&service);
   mux.route(svc::Method::cdn_get, &local_cdn.service);
-  mux.route(svc::Method::feed_sync, &sync);
   mux.route(svc::Method::feed_delta, &sync);
   svc::TcpServerOptions opts;
   opts.port = port;
@@ -238,8 +237,8 @@ int main(int argc, char** argv) {
   std::printf("  trust       %s\n",
               to_hex(ByteSpan(key.data(), key.size())).c_str());
   std::printf("  revoked     serials 7, 14, 21, ... (hex width 4)\n");
-  std::printf("  protocol    v%u; methods: cdn_get(1) feed_sync(2) "
-              "gossip_roots(3) status_query(4) status_batch(5) "
+  std::printf("  protocol    v%u; methods: cdn_get(1) gossip_roots(3) "
+              "status_query(4) status_batch(5) "
               "gossip_digest(6) gossip_pull(7) feed_delta(8)\n",
               svc::kProtocolVersion);
   std::printf("  reactors    %u (%s)\n", server.reactor_count(),
