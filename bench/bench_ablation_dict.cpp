@@ -14,7 +14,6 @@
 #include "common/table.hpp"
 #include "crypto/hash_chain.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/treap.hpp"
 
 using namespace ritm;
 
@@ -33,9 +32,9 @@ int main() {
   // Collected for BENCH_dict.json.
   double prove_us_100k = 0, verify_us_100k = 0, proof_bytes_100k = 0;
   double batch_ms_final = 0, inc_ms_final = 0;
-  double tree_ms_final = 0, treap_ms_final = 0;
-  std::uint64_t tree_rehashes = 0, treap_rehashes = 0;
-  std::size_t tree_proof_bytes = 0, treap_proof_bytes = 0;
+  double tree_ms_final = 0;
+  std::uint64_t tree_rehashes = 0;
+  std::size_t tree_proof_bytes = 0;
 
   std::printf("== ablation 1: proof size / latency vs dictionary size ==\n\n");
   Table t1({"n", "proof bytes", "prove (us)", "verify (us)", "depth"});
@@ -124,12 +123,11 @@ int main() {
     std::printf("%s\n", t2.render().c_str());
   }
 
-  std::printf("== ablation 2b: sorted Merkle tree vs Merkle treap ==\n\n");
+  std::printf("== ablation 2b: issuance stream into a 50k dictionary ==\n\n");
   {
-    // The paper's structure rebuilds O(n) per issuance; the treap rehashes
-    // only the insertion spine, at the cost of ~2x larger proofs. Stream a
-    // Heartbleed-hour of issuances (120 batches of 50) into a 50k-entry
-    // dictionary and compare.
+    // Stream a Heartbleed-hour of issuances (120 batches of 50) into a
+    // 50k-entry dictionary: the incremental dirty-range rebuild rehashes
+    // only the spines above each batch, not the whole O(n) tree.
     constexpr std::uint64_t kBase = 50'000;
     std::vector<cert::SerialNumber> base;
     for (std::uint64_t i = 0; i < kBase; ++i) {
@@ -139,8 +137,6 @@ int main() {
     dict::Dictionary tree;
     tree.insert(base);
     (void)tree.root();
-    dict::MerkleTreap treap;
-    treap.insert(base);
 
     auto batch_at = [](std::uint64_t k) {
       std::vector<cert::SerialNumber> b;
@@ -151,7 +147,7 @@ int main() {
     };
 
     const std::uint64_t tree_hashes_before = tree.total_hash_count();
-    auto start = std::chrono::steady_clock::now();
+    const auto start = std::chrono::steady_clock::now();
     for (std::uint64_t k = 0; k < 120; ++k) {
       tree.insert(batch_at(k));
       (void)tree.root();
@@ -160,33 +156,18 @@ int main() {
         us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
     tree_rehashes = tree.total_hash_count() - tree_hashes_before;
 
-    start = std::chrono::steady_clock::now();
-    for (std::uint64_t k = 0; k < 120; ++k) {
-      treap.insert(batch_at(k));
-      treap_rehashes += treap.last_rehash_count();
-      (void)treap.root();
-    }
-    const double treap_ms =
-        us_per_op(std::chrono::steady_clock::now() - start, 1) / 1000.0;
-
-    // Proof sizes for the same absent serial (sized without serializing).
+    // Absence-proof size for an absent serial (sized without serializing).
     const auto probe = cert::SerialNumber::from_uint(123'456'789, 4);
     const auto tree_proof = tree.prove(probe).wire_size();
-    const auto treap_proof = treap.prove(probe).wire_size();
 
     Table t2b({"backend", "120 issuances (ms)", "rehashes",
                "absence proof (B)"});
     t2b.add_row({"sorted Merkle tree (paper)", Table::num(tree_ms, 1),
                  Table::num(tree_rehashes),
                  Table::num(std::uint64_t(tree_proof))});
-    t2b.add_row({"Merkle treap", Table::num(treap_ms, 1),
-                 Table::num(treap_rehashes),
-                 Table::num(std::uint64_t(treap_proof))});
     std::printf("%s\n", t2b.render().c_str());
     tree_ms_final = tree_ms;
-    treap_ms_final = treap_ms;
     tree_proof_bytes = tree_proof;
-    treap_proof_bytes = treap_proof;
   }
 
   std::printf("== ablation 3: freshness chain length m ==\n\n");
@@ -218,8 +199,6 @@ int main() {
         "\"hundred_issuances_ms\": %.2f},\n"
         "  \"issuance_stream_50k\": {\n"
         "    \"tree\": {\"ms\": %.2f, \"rehashes\": %llu, "
-        "\"absence_proof_bytes\": %zu},\n"
-        "    \"treap\": {\"ms\": %.2f, \"rehashes\": %llu, "
         "\"absence_proof_bytes\": %zu}\n"
         "  }\n"
         "}\n",
@@ -227,8 +206,7 @@ int main() {
         prove_us_100k > 0 ? 1e6 / prove_us_100k : 0,
         verify_us_100k > 0 ? 1e6 / verify_us_100k : 0, batch_ms_final,
         inc_ms_final, tree_ms_final, (unsigned long long)tree_rehashes,
-        tree_proof_bytes, treap_ms_final, (unsigned long long)treap_rehashes,
-        treap_proof_bytes);
+        tree_proof_bytes);
     std::fclose(f);
     std::printf("\nwrote BENCH_dict.json\n");
   }

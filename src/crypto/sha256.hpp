@@ -3,7 +3,7 @@
 // we truncated its output to the first 20 bytes").
 //
 // Every hash on the dictionary hot path (leaf hashes, Merkle inner nodes,
-// treap nodes, hash-chain links) is a short fixed-shape message, so hash20()
+// hash-chain links) is a short fixed-shape message, so hash20()
 // dispatches to a one-shot compression path for inputs that fit in one or
 // two blocks, skipping the incremental buffer/length machinery entirely.
 // hash20_batch() is the rebuild loop's entry point: it feeds the runtime-

@@ -75,24 +75,6 @@ Inspection inspect(ByteSpan payload) {
   return out;
 }
 
-void attach_status(sim::Packet& pkt, const dict::RevocationStatus& status) {
-  // Size the record up front and serialize straight into the packet body —
-  // this runs once per handshake/refresh, so no intermediate buffers. The
-  // packet is live: if encoding throws (malformed proof), restore it rather
-  // than leave a half-written record.
-  const std::size_t mark = pkt.payload.size();
-  try {
-    const std::size_t len = status.wire_size();
-    pkt.payload.reserve(mark + 5 + len);
-    tls::encode_record_header_into(tls::ContentType::ritm_status, len,
-                                   pkt.payload);
-    status.encode_into(pkt.payload);
-  } catch (...) {
-    pkt.payload.resize(mark);
-    throw;
-  }
-}
-
 void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded) {
   pkt.payload.reserve(pkt.payload.size() + 5 + encoded.size());
   tls::encode_record_header_into(tls::ContentType::ritm_status,
@@ -100,29 +82,16 @@ void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded) {
   append(pkt.payload, encoded);
 }
 
-namespace {
-/// Drops every ritm_status record from the payload (shared by the
-/// replace_status variants).
-void remove_status_records(sim::Packet& pkt) {
-  auto records = tls::decode_records(ByteSpan(pkt.payload));
-  if (!records) return;
-  Bytes rebuilt;
-  rebuilt.reserve(pkt.payload.size());
-  for (const auto& rec : *records) {
-    if (rec.type == tls::ContentType::ritm_status) continue;
-    tls::encode_record_into(rec, rebuilt);
-  }
-  pkt.payload = std::move(rebuilt);
-}
-}  // namespace
-
-void replace_status(sim::Packet& pkt, const dict::RevocationStatus& status) {
-  remove_status_records(pkt);
-  attach_status(pkt, status);
-}
-
 void replace_status_bytes(sim::Packet& pkt, ByteSpan encoded) {
-  remove_status_records(pkt);
+  if (auto records = tls::decode_records(ByteSpan(pkt.payload))) {
+    Bytes rebuilt;
+    rebuilt.reserve(pkt.payload.size());
+    for (const auto& rec : *records) {
+      if (rec.type == tls::ContentType::ritm_status) continue;
+      tls::encode_record_into(rec, rebuilt);
+    }
+    pkt.payload = std::move(rebuilt);
+  }
   attach_status_bytes(pkt, encoded);
 }
 

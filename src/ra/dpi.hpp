@@ -50,20 +50,15 @@ Inspection inspect(ByteSpan payload);
 bool is_tls(ByteSpan payload) noexcept;
 
 /// Appends a revocation-status record to a packet payload (RA -> client
-/// piggybacking, §VIII option 1: dedicated content type).
-void attach_status(sim::Packet& pkt, const dict::RevocationStatus& status);
-
-/// Same record, from an already-encoded status (the store's epoch-validated
-/// cache): one header write plus a memcpy — the warm per-packet path, no
-/// proof assembly or encoding.
+/// piggybacking, §VIII option 1: dedicated content type), from an
+/// already-encoded status (the store's epoch-validated cache): one header
+/// write plus a memcpy — the warm per-packet path, no proof assembly or
+/// encoding.
 void attach_status_bytes(sim::Packet& pkt, ByteSpan encoded);
 
 /// Replaces an existing status record (multi-RA: "replaces a revocation
 /// status only if its own version of the dictionary is more recent").
 /// Removes every ritm_status record, then appends the new one.
-void replace_status(sim::Packet& pkt, const dict::RevocationStatus& status);
-
-/// replace_status from an already-encoded status (cached bytes).
 void replace_status_bytes(sim::Packet& pkt, ByteSpan encoded);
 
 /// Removes all ritm_status records (what a RITM client does before handing

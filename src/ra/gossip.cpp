@@ -86,8 +86,9 @@ void GossipPool::adopt_peer_evidence(
   }
 }
 
-std::optional<std::vector<MisbehaviourEvidence>> GossipPool::full_exchange(
+std::optional<std::vector<MisbehaviourEvidence>> GossipPool::exchange_over(
     svc::Transport& peer) {
+  ++stats_.attempted;
   svc::Request req;
   req.method = svc::Method::gossip_roots;
   req.body = encode_gossip_roots(roots());
@@ -113,12 +114,6 @@ std::optional<std::vector<MisbehaviourEvidence>> GossipPool::full_exchange(
   }
   ++stats_.full_exchanges;
   return evidence;
-}
-
-std::optional<std::vector<MisbehaviourEvidence>> GossipPool::exchange_over(
-    svc::Transport& peer) {
-  ++stats_.attempted;
-  return full_exchange(peer);
 }
 
 crypto::Digest20 GossipPool::hash_run(const RootsByN& by_n, std::uint64_t lo,
@@ -264,14 +259,6 @@ std::optional<std::vector<MisbehaviourEvidence>> GossipPool::reconcile_over(
   stats_.bytes_sent += dres.bytes_sent;
   stats_.bytes_received += dres.bytes_received;
   if (!dres.ok()) {
-    // A peer that predates the reconciliation methods (or speaks another
-    // envelope version) still understands the full-list exchange.
-    if (dres.status == svc::Status::ok &&
-        (dres.response.status == svc::Status::unknown_method ||
-         dres.response.status == svc::Status::version_skew)) {
-      ++stats_.fallbacks;
-      return full_exchange(peer);
-    }
     ++stats_.failed;
     return std::nullopt;
   }

@@ -77,7 +77,6 @@ struct GossipStats {
   std::uint64_t failed = 0;            // returned nullopt
   std::uint64_t digest_exchanges = 0;  // completed via digest + pull
   std::uint64_t full_exchanges = 0;    // completed via gossip_roots
-  std::uint64_t fallbacks = 0;         // digest refused -> full-list retry
   std::uint64_t roots_pushed = 0;
   std::uint64_t roots_pulled = 0;
   std::uint64_t bytes_sent = 0;
@@ -120,10 +119,9 @@ class GossipPool {
   /// swaps digests with the peer, pulls only the runs the diff says are
   /// missing or divergent, and pushes the peer's gaps symmetrically.
   /// Converges to the same union and surfaces the same evidence as
-  /// exchange()/exchange_over, moving a fraction of the bytes. Falls back
-  /// to the gossip_roots full exchange when the peer answers
-  /// unknown_method or version_skew (a legacy full-list-only peer).
-  /// Returns nullopt on transport or protocol failure.
+  /// exchange()/exchange_over, moving a fraction of the bytes. Returns
+  /// nullopt on transport or protocol failure, including a peer that does
+  /// not answer gossip_digest (no full-list retry).
   std::optional<std::vector<MisbehaviourEvidence>> reconcile_over(
       svc::Transport& peer);
 
@@ -174,11 +172,6 @@ class GossipPool {
   /// True iff we hold every position of [lo, hi] and our hash over it
   /// equals `hash` — the run is provably identical on both sides.
   static bool run_in_sync(const RootsByN& by_n, const GossipRun& run);
-  /// gossip_roots exchange body + counters (shared by exchange_over and
-  /// the reconcile fallback; bumps everything except `attempted`).
-  std::optional<std::vector<MisbehaviourEvidence>> full_exchange(
-      svc::Transport& peer);
-
   const cert::TrustStore* keys_;
   std::map<cert::CaId, RootsByN> seen_;
   std::uint64_t forged_ = 0;

@@ -62,6 +62,17 @@ Bytes encode_gossip_roots(const std::vector<dict::SignedRoot>& roots) {
   return body;
 }
 
+Bytes encode_gossip_reply(const GossipReply& reply) {
+  Bytes body = encode_gossip_roots(reply.roots);
+  ByteWriter w(body);
+  w.u32(static_cast<std::uint32_t>(reply.evidence.size()));
+  for (const auto& e : reply.evidence) {
+    w.var16(ByteSpan(e.ours.encode()));
+    w.var16(ByteSpan(e.theirs.encode()));
+  }
+  return body;
+}
+
 std::optional<GossipReply> decode_gossip_reply(ByteSpan body) {
   ByteReader r(body);
   GossipReply reply;
@@ -124,10 +135,15 @@ std::optional<GossipDigest> decode_gossip_digest(ByteSpan body) {
     const auto run_count = r.try_u32();
     if (!ca_bytes || !run_count) return std::nullopt;
     if (*run_count > r.remaining() / 36) return std::nullopt;
-    const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
-    auto& runs = digest.runs[ca];
+    cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
+    // CAs arrive in the encoder's (std::map) order, each exactly once: a
+    // repeated CA would append a second, non-ascending run list.
+    if (!digest.runs.empty() && ca <= digest.runs.rbegin()->first) {
+      return std::nullopt;
+    }
+    auto& runs =
+        digest.runs.try_emplace(digest.runs.end(), std::move(ca))->second;
     runs.reserve(*run_count);
-    std::uint64_t prev_hi = 0;
     for (std::uint32_t j = 0; j < *run_count; ++j) {
       GossipRun run;
       const auto lo = r.try_u64();
@@ -139,8 +155,7 @@ std::optional<GossipDigest> decode_gossip_digest(ByteSpan body) {
       // Runs must be well-formed, ascending, and disjoint — the diff logic
       // binary-searches on lo, so a lying peer doesn't get to confuse it.
       if (run.lo > run.hi) return std::nullopt;
-      if (j > 0 && run.lo <= prev_hi) return std::nullopt;
-      prev_hi = run.hi;
+      if (j > 0 && run.lo <= runs.back().hi) return std::nullopt;
       std::copy(hash->begin(), hash->end(), run.hash.begin());
       runs.push_back(run);
     }
@@ -179,13 +194,20 @@ std::optional<GossipPullRequest> decode_gossip_pull(ByteSpan body) {
     const auto range_count = r.try_u32();
     if (!ca_bytes || !range_count) return std::nullopt;
     if (*range_count > r.remaining() / 16) return std::nullopt;
-    const cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
-    auto& ranges = pull.want.ranges[ca];
+    cert::CaId ca(ca_bytes->begin(), ca_bytes->end());
+    // Each CA once, in ascending order, with ascending disjoint ranges —
+    // what want_from() emits. Repeated or overlapping ranges would make
+    // roots_in() answer one copy of a held root per range: a small request
+    // amplified into a reply of every held root many times over.
+    auto& want = pull.want.ranges;
+    if (!want.empty() && ca <= want.rbegin()->first) return std::nullopt;
+    auto& ranges = want.try_emplace(want.end(), std::move(ca))->second;
     ranges.reserve(*range_count);
     for (std::uint32_t j = 0; j < *range_count; ++j) {
       const auto lo = r.try_u64();
       const auto hi = r.try_u64();
       if (!lo || !hi || *lo > *hi) return std::nullopt;
+      if (j > 0 && *lo <= ranges.back().second) return std::nullopt;
       ranges.emplace_back(*lo, *hi);
     }
   }
@@ -313,27 +335,23 @@ svc::Response RaService::gossip_roots(const svc::Request& req) {
 
   // Snapshot our observations *before* absorbing the peer's, mirroring the
   // symmetric copy-snapshot semantics of GossipPool::exchange.
-  const std::vector<dict::SignedRoot> ours = gossip_->roots();
+  GossipReply reply;
+  reply.roots = gossip_->roots();
 
-  std::vector<MisbehaviourEvidence> found;
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto bytes = r.try_var16();
     if (!bytes) return svc::reject(req, svc::Status::malformed);
     const auto root = dict::SignedRoot::decode(ByteSpan(*bytes));
     if (!root) return svc::reject(req, svc::Status::malformed);
-    if (auto e = gossip_->observe(*root)) found.push_back(std::move(*e));
+    if (auto e = gossip_->observe(*root)) {
+      reply.evidence.push_back(std::move(*e));
+    }
   }
   if (!r.done()) return svc::reject(req, svc::Status::malformed);
 
   svc::Response resp;
   resp.request_id = req.request_id;
-  resp.body = encode_gossip_roots(ours);  // same shape as the request side
-  ByteWriter w(resp.body);
-  w.u32(static_cast<std::uint32_t>(found.size()));
-  for (const auto& e : found) {
-    w.var16(ByteSpan(e.ours.encode()));
-    w.var16(ByteSpan(e.theirs.encode()));
-  }
+  resp.body = encode_gossip_reply(reply);
   return resp;
 }
 
@@ -363,22 +381,18 @@ svc::Response RaService::gossip_pull(const svc::Request& req) {
   // Snapshot the wanted roots *before* observing the pushes — the same
   // symmetric-snapshot rule as gossip_roots, so a root the peer pushes is
   // never echoed straight back in the same exchange.
-  const std::vector<dict::SignedRoot> wanted = gossip_->roots_in(pull->want);
+  GossipReply reply;
+  reply.roots = gossip_->roots_in(pull->want);
 
-  std::vector<MisbehaviourEvidence> found;
   for (const auto& root : pull->push) {
-    if (auto e = gossip_->observe(root)) found.push_back(std::move(*e));
+    if (auto e = gossip_->observe(root)) {
+      reply.evidence.push_back(std::move(*e));
+    }
   }
 
   svc::Response resp;
   resp.request_id = req.request_id;
-  resp.body = encode_gossip_roots(wanted);  // gossip_roots response shape
-  ByteWriter w(resp.body);
-  w.u32(static_cast<std::uint32_t>(found.size()));
-  for (const auto& e : found) {
-    w.var16(ByteSpan(e.ours.encode()));
-    w.var16(ByteSpan(e.theirs.encode()));
-  }
+  resp.body = encode_gossip_reply(reply);
   return resp;
 }
 

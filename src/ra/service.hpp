@@ -38,6 +38,11 @@ namespace ritm::ra {
 //                           then u32 count | count x var16 SignedRoot pushed
 //                 response: gossip_roots response shape (wanted roots +
 //                           evidence found observing the pushes)
+//
+// The gossip_digest and gossip_pull decoders accept only what the encoders
+// emit: CA entries in strictly ascending order (each CA once), and per CA
+// ascending, disjoint runs / ranges. Anything else answers `malformed`.
+
 /// Ceiling on serials per status_batch envelope: at the paper's 500-900 B
 /// per status, anything larger would push the *response* past the
 /// transport frame limit (svc::kMaxFrameBytes) and be rejected by the
@@ -55,6 +60,7 @@ struct GossipReply {
   std::vector<dict::SignedRoot> roots;          // the peer's observations
   std::vector<MisbehaviourEvidence> evidence;   // conflicts the peer found
 };
+Bytes encode_gossip_reply(const GossipReply& reply);
 std::optional<GossipReply> decode_gossip_reply(ByteSpan body);
 
 Bytes encode_gossip_digest(const GossipDigest& digest);

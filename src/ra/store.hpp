@@ -225,7 +225,7 @@ class DictionaryStore {
   /// carries the store metadata (flags, signed roots, freshness state, and
   /// per-dictionary epoch/n/root); the i-th CA's dictionary arenas (in meta
   /// order) use ((i+1) << 8) | kind with kinds 1 = entry log, 2 = sorted
-  /// index, 3 = digest arena. Kind 4 is reserved for treap priorities.
+  /// index, 3 = digest arena.
   static constexpr std::uint32_t kSectionMeta = 1;
   static constexpr std::uint32_t kSectionKindLog = 1;
   static constexpr std::uint32_t kSectionKindSorted = 2;

@@ -112,11 +112,6 @@ class RaUpdater {
   std::optional<MisbehaviourEvidence> consistency_check(
       const cert::CaId& ca, TimeMs now);
 
-  /// Direct RA<->RA gossip: cross-check a peer's signed root (§V "More
-  /// powerful adversaries", map-server / gossip deployment).
-  std::optional<MisbehaviourEvidence> gossip_check(
-      const dict::SignedRoot& peer_root);
-
   std::uint64_t next_period() const noexcept { return next_period_; }
   const Totals& totals() const noexcept { return totals_; }
 

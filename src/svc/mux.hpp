@@ -4,9 +4,7 @@
 // (or one in-process dispatch) can expose the RA status endpoints, the CDN
 // object store, and the feed sync endpoint together — the shape of a real
 // deployment where an edge node fronts several roles. Unrouted methods
-// answer unknown_method exactly like a server that never implemented them,
-// which is what keeps capability probing (the gossip digest fallback)
-// working through a mux unchanged.
+// answer unknown_method exactly like a server that never implemented them.
 //
 // SharedLockService enforces the DictionaryStore concurrency contract at
 // the service boundary: reads (handle calls) take a caller-supplied

@@ -3,9 +3,10 @@
 // in-memory exchange() oracle across a 300-seed churn/partition matrix,
 // then exercised at mesh scale: 100 RAs with partitions, late joiners, and
 // one misbehaving peer injecting forged roots and fabricated evidence.
-// Legacy interop (a full-list-only peer answering unknown_method / an old
-// dispatcher answering version_skew) must still converge through the
-// gossip_roots fallback, and every attempt must leave a GossipStats trace.
+// A peer answering unknown_method / version_skew to the digest leg is a
+// failed reconciliation (no full-list retry), the gossip_digest and
+// gossip_pull decoders reject anything but the encoders' canonical shape,
+// and every attempt must leave a GossipStats trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -128,6 +129,76 @@ TEST(GossipDigest, DecoderRejectsHostileShapes) {
   // Truncated body.
   const auto ok = ra::encode_gossip_digest({{{"CA-1", {{1, 3, {}}}}}});
   EXPECT_FALSE(ra::decode_gossip_digest(ByteSpan(ok).subspan(0, ok.size() - 1)));
+}
+
+/// Per-CA (lo, hi) pairs in wire order. The encoders key on std::map, so
+/// repeated or descending CAs can only be written by hand.
+using RawPairs = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+using RawEntries = std::vector<std::pair<std::string, RawPairs>>;
+
+/// A gossip_digest body (zero run hashes) or, with `pull`, a gossip_pull
+/// body with no pushes, in exactly the given order.
+Bytes raw_gossip_body(const RawEntries& entries, bool pull) {
+  Bytes body;
+  ByteWriter w(body);
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [ca, pairs] : entries) {
+    w.var8(ByteSpan(reinterpret_cast<const std::uint8_t*>(ca.data()),
+                    ca.size()));
+    w.u32(static_cast<std::uint32_t>(pairs.size()));
+    for (const auto& [lo, hi] : pairs) {
+      w.u64(lo);
+      w.u64(hi);
+      if (!pull) w.raw(ByteSpan(crypto::Digest20{}));
+    }
+  }
+  if (pull) w.u32(0);  // no pushed roots
+  return body;
+}
+
+TEST(GossipDigest, DecoderRejectsRepeatedCa) {
+  // A second entry for the same CA must not append non-ascending runs.
+  EXPECT_TRUE(ra::decode_gossip_digest(ByteSpan(
+      raw_gossip_body({{"CA-1", {{10, 20}}}, {"CA-2", {{1, 5}}}}, false))));
+  EXPECT_FALSE(ra::decode_gossip_digest(ByteSpan(
+      raw_gossip_body({{"CA-1", {{10, 20}}}, {"CA-1", {{1, 5}}}}, false))));
+  EXPECT_FALSE(ra::decode_gossip_digest(ByteSpan(
+      raw_gossip_body({{"CA-2", {{1, 5}}}, {"CA-1", {{1, 5}}}}, false))));
+}
+
+TEST(GossipPull, DecoderRejectsRepeatedOverlappingRangesAndCas) {
+  const auto pull = [](const RawEntries& entries) {
+    return ra::decode_gossip_pull(ByteSpan(raw_gossip_body(entries, true)));
+  };
+  EXPECT_TRUE(pull({{"CA-1", {{1, 5}, {6, 9}}}, {"CA-2", {{1, 5}}}}));
+  EXPECT_FALSE(pull({{"CA-1", {{1, 5}, {1, 5}}}}));  // repeated range
+  EXPECT_FALSE(pull({{"CA-1", {{1, 5}, {5, 9}}}}));  // overlapping
+  EXPECT_FALSE(pull({{"CA-1", {{7, 9}, {1, 5}}}}));  // descending
+  EXPECT_FALSE(pull({{"CA-1", {{1, 5}}}, {"CA-1", {{7, 9}}}}));  // repeated CA
+  EXPECT_FALSE(pull({{"CA-2", {{1, 5}}}, {"CA-1", {{1, 5}}}}));  // CA order
+}
+
+TEST(GossipPull, RepeatedRangesAreNotAmplified) {
+  // One small request must not buy a reply holding every root once per
+  // range: the server answers malformed instead.
+  const auto u = make_universe(17, 16);
+  ra::DictionaryStore store;
+  ra::GossipPool pool(&u.keys);
+  for (const auto& root : u.honest) pool.observe(root);
+  ra::RaService service(&store, &pool);
+
+  svc::Request req;
+  req.method = svc::Method::gossip_pull;
+  req.body = raw_gossip_body(
+      {{"CA-1", RawPairs(8, {0, UINT64_MAX})}}, true);
+  EXPECT_EQ(service.handle(req).response.status, svc::Status::malformed);
+
+  req.body = raw_gossip_body({{"CA-1", {{0, UINT64_MAX}}}}, true);
+  const auto ok = service.handle(req).response;
+  ASSERT_EQ(ok.status, svc::Status::ok);
+  const auto reply = ra::decode_gossip_reply(ByteSpan(ok.body));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->roots.size(), u.honest.size());
 }
 
 TEST(GossipDigest, IdenticalPoolsWantAndPushNothing) {
@@ -256,7 +327,6 @@ TEST(GossipMesh, ReconcilePinnedToExchangeOracleAcross300Seeds) {
           << "evidence diverged: seed " << seed << " ra " << ra;
       conflicts_seen += oracle_ev[ra].size();
       EXPECT_EQ(wired[ra]->stats().failed, 0u);
-      EXPECT_EQ(wired[ra]->stats().fallbacks, 0u);
     }
   }
   // The matrix would prove little if the split views never collided.
@@ -456,100 +526,68 @@ TEST(GossipMesh, DigestPathMovesFractionOfFullListBytes) {
 
 // ----------------------------------------------------- legacy interop
 
-/// A peer RA from before PR 8: same RaService dispatch, but the
-/// reconciliation method ids do not exist yet.
-class LegacyRaService final : public svc::Service {
+/// A peer RA that refuses the reconciliation methods with `refusal`:
+/// unknown_method for a full-list-only peer, version_skew for a dispatcher
+/// that treats post-v1 method ids as a version problem. Counts the
+/// gossip_roots requests it sees.
+class RefusingRaService final : public svc::Service {
  public:
-  explicit LegacyRaService(ra::RaService* inner) : inner_(inner) {}
+  RefusingRaService(ra::RaService* inner, svc::Status refusal)
+      : inner_(inner), refusal_(refusal) {}
   svc::ServeResult handle(const svc::Request& req) override {
+    if (req.method == svc::Method::gossip_roots) ++gossip_roots_calls;
     if (req.method == svc::Method::gossip_digest ||
         req.method == svc::Method::gossip_pull) {
       svc::ServeResult out;
-      out.response = svc::reject(req, svc::Status::unknown_method);
+      out.response = svc::reject(req, refusal_);
       return out;
     }
     return inner_->handle(req);
   }
+  int gossip_roots_calls = 0;
  private:
   ra::RaService* inner_;
+  svc::Status refusal_;
 };
 
-/// An even older peer: a dispatcher that treats post-v1 method ids as a
-/// version problem rather than an unknown method.
-class SkewingRaService final : public svc::Service {
- public:
-  explicit SkewingRaService(ra::RaService* inner) : inner_(inner) {}
-  svc::ServeResult handle(const svc::Request& req) override {
-    if (static_cast<std::uint16_t>(req.method) > 5) {
-      svc::ServeResult out;
-      out.response = svc::reject(req, svc::Status::version_skew);
-      return out;
-    }
-    return inner_->handle(req);
-  }
- private:
-  ra::RaService* inner_;
-};
-
-TEST(GossipInterop, LegacyFullListPeerConvergesViaFallback) {
+TEST(GossipInterop, LegacyFullListPeerFailsWithoutFallback) {
   const auto u = make_universe(5, 20);
-  const auto& evil_root = u.conflicting.back();
-
-  // Oracle for the same pair of views.
-  ra::GossipPool alice_direct(&u.keys), bob_direct(&u.keys);
-  for (std::size_t i = 0; i + 1 < u.honest.size(); ++i) {
-    alice_direct.observe(u.honest[i]);
-  }
-  alice_direct.observe(u.honest.back());
-  bob_direct.observe(evil_root);
-  const auto direct = alice_direct.exchange(bob_direct);
-
   ra::DictionaryStore store;
   ra::GossipPool alice(&u.keys), bob(&u.keys);
-  for (std::size_t i = 0; i + 1 < u.honest.size(); ++i) {
-    alice.observe(u.honest[i]);
-  }
-  alice.observe(u.honest.back());
-  bob.observe(evil_root);
+  for (const auto& root : u.honest) alice.observe(root);
+  bob.observe(u.conflicting.back());
   ra::RaService bob_service(&store, &bob);
-  LegacyRaService legacy(&bob_service);
+  RefusingRaService legacy(&bob_service, svc::Status::unknown_method);
   svc::InProcessTransport legacy_rpc(&legacy);
 
-  const auto wired = alice.reconcile_over(legacy_rpc);
-  ASSERT_TRUE(wired.has_value());
-  // Same union, same evidence as the oracle exchange.
-  std::vector<std::string> direct_keys, wired_keys;
-  for (const auto& e : direct) direct_keys.push_back(evidence_key(e));
-  for (const auto& e : *wired) wired_keys.push_back(evidence_key(e));
-  std::sort(direct_keys.begin(), direct_keys.end());
-  std::sort(wired_keys.begin(), wired_keys.end());
-  EXPECT_EQ(wired_keys, direct_keys);
-  EXPECT_EQ(sorted_root_keys(alice), sorted_root_keys(alice_direct));
-  EXPECT_EQ(sorted_root_keys(bob), sorted_root_keys(bob_direct));
-  // The fallback left its trace.
+  // unknown_method on the digest leg is a failed reconciliation: no
+  // full-list retry, nothing adopted on either side.
+  EXPECT_FALSE(alice.reconcile_over(legacy_rpc).has_value());
+  EXPECT_EQ(legacy.gossip_roots_calls, 0);
+  EXPECT_EQ(alice.size(), u.honest.size());
+  EXPECT_EQ(bob.size(), 1u);
   EXPECT_EQ(alice.stats().attempted, 1u);
-  EXPECT_EQ(alice.stats().fallbacks, 1u);
-  EXPECT_EQ(alice.stats().full_exchanges, 1u);
+  EXPECT_EQ(alice.stats().failed, 1u);
+  EXPECT_EQ(alice.stats().full_exchanges, 0u);
   EXPECT_EQ(alice.stats().digest_exchanges, 0u);
-  EXPECT_EQ(alice.stats().failed, 0u);
 }
 
-TEST(GossipInterop, VersionSkewTriggersSameFallback) {
+TEST(GossipInterop, VersionSkewFailsWithoutFallback) {
   const auto u = make_universe(6, 12);
   ra::DictionaryStore store;
   ra::GossipPool alice(&u.keys), bob(&u.keys);
   alice.observe(u.honest[0]);
   bob.observe(u.honest[1]);
   ra::RaService bob_service(&store, &bob);
-  SkewingRaService skew(&bob_service);
+  RefusingRaService skew(&bob_service, svc::Status::version_skew);
   svc::InProcessTransport skew_rpc(&skew);
 
-  const auto got = alice.reconcile_over(skew_rpc);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(alice.size(), 2u);
-  EXPECT_EQ(bob.size(), 2u);
-  EXPECT_EQ(alice.stats().fallbacks, 1u);
-  EXPECT_EQ(alice.stats().full_exchanges, 1u);
+  EXPECT_FALSE(alice.reconcile_over(skew_rpc).has_value());
+  EXPECT_EQ(skew.gossip_roots_calls, 0);
+  EXPECT_EQ(alice.size(), 1u);
+  EXPECT_EQ(bob.size(), 1u);
+  EXPECT_EQ(alice.stats().failed, 1u);
+  EXPECT_EQ(alice.stats().full_exchanges, 0u);
 }
 
 // ----------------------------------------------------------- statistics

@@ -352,7 +352,7 @@ TEST_F(DpiTest, AttachAndStripStatus) {
   auto pkt = tls::make_app_data(server_, client_, {9, 9});
   dict::RevocationStatus status;
   status.signed_root.ca = "CA-1";
-  attach_status(pkt, status);
+  attach_status_bytes(pkt, ByteSpan(status.encode()));
 
   const auto in = inspect(ByteSpan(pkt.payload));
   ASSERT_TRUE(in.existing_status.has_value());
@@ -360,28 +360,11 @@ TEST_F(DpiTest, AttachAndStripStatus) {
 
   const auto stripped = strip_status(pkt);
   ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.ca, "CA-1");
+  EXPECT_EQ(stripped[0], status);
   // Stripped payload is the original app-data record.
   const auto in2 = inspect(ByteSpan(pkt.payload));
   EXPECT_FALSE(in2.existing_status.has_value());
   EXPECT_EQ(in2.kind, Inspection::Kind::app_data);
-}
-
-TEST_F(DpiTest, AttachStatusBytesMatchesStructPath) {
-  // The memcpy path must be wire-identical to encoding the struct.
-  dict::RevocationStatus status;
-  status.signed_root.ca = "CA-1";
-  status.signed_root.n = 3;
-
-  auto via_struct = tls::make_app_data(server_, client_, {9, 9});
-  auto via_bytes = via_struct;
-  attach_status(via_struct, status);
-  attach_status_bytes(via_bytes, ByteSpan(status.encode()));
-  EXPECT_EQ(via_struct.payload, via_bytes.payload);
-
-  auto stripped = strip_status(via_bytes);
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0], status);
 }
 
 TEST_F(DpiTest, ReplaceStatusBytesKeepsOneCopy) {
@@ -391,22 +374,8 @@ TEST_F(DpiTest, ReplaceStatusBytesKeepsOneCopy) {
   old_status.signed_root.n = 1;
   new_status.signed_root.ca = "CA-1";
   new_status.signed_root.n = 2;
-  attach_status(pkt, old_status);
+  attach_status_bytes(pkt, ByteSpan(old_status.encode()));
   replace_status_bytes(pkt, ByteSpan(new_status.encode()));
-  auto stripped = strip_status(pkt);
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0].signed_root.n, 2u);
-}
-
-TEST_F(DpiTest, ReplaceStatusKeepsOneCopy) {
-  auto pkt = tls::make_app_data(server_, client_, {1});
-  dict::RevocationStatus old_status, new_status;
-  old_status.signed_root.ca = "CA-1";
-  old_status.signed_root.n = 1;
-  new_status.signed_root.ca = "CA-1";
-  new_status.signed_root.n = 2;
-  attach_status(pkt, old_status);
-  replace_status(pkt, new_status);
   auto stripped = strip_status(pkt);
   ASSERT_EQ(stripped.size(), 1u);
   EXPECT_EQ(stripped[0].signed_root.n, 2u);
@@ -568,7 +537,7 @@ TEST_F(AgentTest, MultiRaDefersToFresherStatus) {
   auto flight = server_flight();
   auto fresher = *store_.status_for("CA-1", leaf_.serial);
   fresher.signed_root.n = 100;  // pretend: newer view
-  attach_status(flight, fresher);
+  attach_status_bytes(flight, ByteSpan(fresher.encode()));
   EXPECT_EQ(agent_.process(flight, 2000), RevocationAgent::Action::passed);
   EXPECT_EQ(agent_.stats().statuses_deferred, 1u);
   auto copy = flight;
@@ -586,7 +555,7 @@ TEST_F(AgentTest, MultiRaReplacesStalerStatus) {
   dict::RevocationStatus stale;
   stale.signed_root.ca = "CA-1";
   stale.signed_root.n = 1;  // older view
-  attach_status(flight, stale);
+  attach_status_bytes(flight, ByteSpan(stale.encode()));
   EXPECT_EQ(agent_.process(flight, 2100),
             RevocationAgent::Action::status_replaced);
   auto stripped = strip_status(flight);

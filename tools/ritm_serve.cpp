@@ -285,14 +285,13 @@ int main(int argc, char** argv) {
   const auto gs = gossip.stats();
   std::printf("gossip: %llu digest + %llu pull requests served; pool-side "
               "exchanges %llu attempted (%llu failed, %llu digest / %llu "
-              "full, %llu fallbacks), %llu B sent / %llu B received, "
+              "full), %llu B sent / %llu B received, "
               "%llu B saved vs full-list\n",
               (unsigned long long)svc_stats.gossip_digests,
               (unsigned long long)svc_stats.gossip_pulls,
               (unsigned long long)gs.attempted, (unsigned long long)gs.failed,
               (unsigned long long)gs.digest_exchanges,
               (unsigned long long)gs.full_exchanges,
-              (unsigned long long)gs.fallbacks,
               (unsigned long long)gs.bytes_sent,
               (unsigned long long)gs.bytes_received,
               (unsigned long long)gs.bytes_saved);
