@@ -32,11 +32,8 @@
 #include "cdn/service.hpp"
 #include "client/client.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/sha256_engine.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/sharded.hpp"
-#include "persist/shard_checkpoint.hpp"
 #include "ra/agent.hpp"
 #include "ra/service.hpp"
 #include "ra/updater.hpp"
@@ -350,46 +347,6 @@ int main() {
                 (unsigned long long)cs.invalidations, multi_hit_rate);
   }
 
-  // --- parallel dirty-shard rebuild: every shard dirtied, then rebuilt
-  // serially vs fanned across the pool. Roots must agree byte for byte.
-  constexpr std::size_t kShards = 64;
-  constexpr std::uint64_t kPerShard = 2'000;
-  double rebuild_serial_ms = 0, rebuild_pool_ms = 0;
-  std::size_t pool_threads = 0;
-  {
-    dict::ShardedDictionary sharded(86'400);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      for (std::uint64_t i = 0; i < kPerShard; ++i) {
-        sharded.insert(
-            cert::SerialNumber::from_uint(s * 1'000'000 + i * 5 + 1, 4),
-            static_cast<UnixSeconds>(s) * 86'400 + 1000);
-      }
-    }
-    dict::ShardedDictionary parallel = sharded;  // identical dirty state
-    // Pinned worker count: with the default (hardware_concurrency) a
-    // single-core host would fall into run_indexed's inline path and the
-    // "pool" row would silently measure serial code.
-    ThreadPool pool(4);
-    pool_threads = pool.thread_count();
-
-    auto start = std::chrono::steady_clock::now();
-    const std::size_t rebuilt_serial = sharded.rebuild_dirty(nullptr);
-    rebuild_serial_ms = ms_of(std::chrono::steady_clock::now() - start);
-
-    start = std::chrono::steady_clock::now();
-    const std::size_t rebuilt_pool = parallel.rebuild_dirty(&pool);
-    rebuild_pool_ms = ms_of(std::chrono::steady_clock::now() - start);
-
-    const bool roots_match = sharded.shard_roots() == parallel.shard_roots();
-    std::printf("\n== sharded rebuild (%zu shards x %llu entries) ==\n",
-                kShards, (unsigned long long)kPerShard);
-    std::printf("serial: %zu shards in %.2f ms; pool(%zu): %zu shards in "
-                "%.2f ms; roots %s\n",
-                rebuilt_serial, rebuild_serial_ms, pool_threads, rebuilt_pool,
-                rebuild_pool_ms, roots_match ? "identical" : "DIVERGED!");
-    if (!roots_match) return 1;
-  }
-
   // --- dictionary Δ-batch update throughput (100k-entry dictionary).
   constexpr std::uint64_t kDictBase = 100'000;
   constexpr std::size_t kDictBatches = 200;
@@ -505,10 +462,10 @@ int main() {
   // checkpoints 20 periods before the "crash", so restart = mmap the v2
   // snapshot and adopt its arenas (no per-entry re-hash, no per-issuance
   // signature) + replay the log tail; the cold RA re-pulls, re-verifies,
-  // and re-applies every period. The tail is 1% of the corpus (the same
-  // dirt fraction the incremental-checkpoint gate uses): with background
-  // checkpoints every ~30s a restart sees at most a few periods of tail,
-  // and tail replay cost scales with dictionary size, not tail size alone.
+  // and re-applies every period. The tail is 1% of the corpus: with
+  // background checkpoints every ~30s a restart sees at most a few periods
+  // of tail, and tail replay cost scales with dictionary size, not tail
+  // size alone.
   // A second pass restores the same state from the CA's cold-start object
   // (decode + re-hash) and from the mmap snapshot, with no tail, to isolate
   // the zero-copy restart win.
@@ -678,45 +635,6 @@ int main() {
                 (unsigned long long)cs.wal_resets,
                 (unsigned long long)cs.wal_reset_skipped);
     std::filesystem::remove_all(dir);
-  }
-
-  // --- per-shard incremental checkpoints: byte cost of re-checkpointing a
-  // 64-shard dictionary after 1% new entries land in one expiry bucket,
-  // relative to the full checkpoint.
-  double checkpoint_incr_ratio = 0;
-  std::uint64_t checkpoint_full_bytes = 0, checkpoint_incr_bytes = 0;
-  constexpr std::size_t kCkptShards = 64;
-  {
-    const std::uint64_t n = std::min<std::uint64_t>(kRecEntries, 256'000);
-    dict::ShardedDictionary sharded(100);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      sharded.insert(cert::SerialNumber::from_uint(i * 11 + 3, 5),
-                     static_cast<UnixSeconds>(i % kCkptShards) * 100 + 50);
-    }
-    ThreadPool pool;
-    const std::string sdir = "persist-bench-shards";
-    std::filesystem::remove_all(sdir);
-    persist::ShardCheckpointer ck(sdir);
-    const auto full_ck = ck.checkpoint(sharded, &pool);
-    for (std::uint64_t i = 0; i < n / 100; ++i) {
-      sharded.insert(cert::SerialNumber::from_uint((n + i) * 11 + 3, 5),
-                     7 * 100 + 50);  // all the dirt in one bucket
-    }
-    const auto incr_ck = ck.checkpoint(sharded, &pool);
-    checkpoint_full_bytes = full_ck.bytes_written;
-    checkpoint_incr_bytes = incr_ck.bytes_written;
-    checkpoint_incr_ratio =
-        double(checkpoint_incr_bytes) / double(checkpoint_full_bytes);
-    std::printf("\n== incremental shard checkpoint (%zu shards, n=%llu, "
-                "1%% dirt in one bucket) ==\n",
-                kCkptShards, (unsigned long long)n);
-    std::printf("full %.1f MiB -> incremental %.2f MiB (%.3fx; %zu of %zu "
-                "shards rewritten)\n",
-                double(checkpoint_full_bytes) / (1024.0 * 1024.0),
-                double(checkpoint_incr_bytes) / (1024.0 * 1024.0),
-                checkpoint_incr_ratio, incr_ck.shards_written,
-                incr_ck.shards_written + incr_ck.shards_skipped);
-    std::filesystem::remove_all(sdir);
   }
 
   // --- service envelope: single vs batched status RPS over loopback TCP
@@ -1189,13 +1107,6 @@ int main() {
                  "    \"cache_hit_rate\": %.4f,\n"
                  "    \"cache_invalidations\": %llu\n"
                  "  },\n"
-                 "  \"sharded_rebuild\": {\n"
-                 "    \"shards\": %zu,\n"
-                 "    \"entries_per_shard\": %llu,\n"
-                 "    \"serial_ms\": %.2f,\n"
-                 "    \"pool_ms\": %.2f,\n"
-                 "    \"pool_threads\": %zu\n"
-                 "  },\n"
                  "  \"dict_update\": {\n"
                  "    \"base_entries\": %llu,\n"
                  "    \"batches\": %zu,\n"
@@ -1231,11 +1142,7 @@ int main() {
                  "    \"cycles\": %llu,\n"
                  "    \"stall_us\": %.1f,\n"
                  "    \"max_stall_us\": %.1f,\n"
-                 "    \"snapshot_bytes\": %llu,\n"
-                 "    \"shards\": %zu,\n"
-                 "    \"full_bytes\": %llu,\n"
-                 "    \"incremental_bytes\": %llu,\n"
-                 "    \"incremental_bytes_ratio\": %.4f\n"
+                 "    \"snapshot_bytes\": %llu\n"
                  "  },\n"
                  "  \"svc_status\": {\n"
                  "    \"batch_size\": %zu,\n"
@@ -1275,9 +1182,7 @@ int main() {
                  status_cold_ns, status_warm_ns, status_speedup, kCas,
                  (unsigned long long)kEntriesPerCa, multi_cold_rate,
                  multi_warm_rate, multi_hit_rate,
-                 (unsigned long long)multi_invalidations, kShards,
-                 (unsigned long long)kPerShard, rebuild_serial_ms,
-                 rebuild_pool_ms, pool_threads,
+                 (unsigned long long)multi_invalidations,
                  (unsigned long long)kDictBase, kDictBatches, kDictBatchSize,
                  inc.entries_per_sec, inc.ns_per_entry,
                  (unsigned long long)inc.hashes, full.entries_per_sec,
@@ -1292,10 +1197,7 @@ int main() {
                  recovery_mmap_speedup,
                  (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                  checkpoint_max_stall_us,
-                 (unsigned long long)checkpoint_snapshot_bytes, kCkptShards,
-                 (unsigned long long)checkpoint_full_bytes,
-                 (unsigned long long)checkpoint_incr_bytes,
-                 checkpoint_incr_ratio, kSvcBatch,
+                 (unsigned long long)checkpoint_snapshot_bytes, kSvcBatch,
                  svc_single_rps, svc_batch_rps, svc_inproc_single_rps,
                  svc_batch_speedup, mc_cores, mc_rps[0], mc_rps[1],
                  mc_rps[2], mc_rps[3], mc_factor_at_2, mc_factor_at_4,
@@ -1360,11 +1262,6 @@ int main() {
     std::printf("WARNING: background checkpoint freeze stall averaged "
                 "%.0f us (acceptance ceiling: 5000 us)\n",
                 checkpoint_stall_us);
-  }
-  if (checkpoint_incr_ratio > 0.2) {
-    std::printf("WARNING: incremental shard checkpoint wrote %.2fx the full "
-                "checkpoint bytes at 1%% dirt (acceptance ceiling: 0.2x)\n",
-                checkpoint_incr_ratio);
   }
   if (svc_batch_speedup < 3.0) {
     std::printf("WARNING: batched status envelopes only %.1fx the RPS of "

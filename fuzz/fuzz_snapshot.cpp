@@ -6,8 +6,11 @@
 //   * the snapshot section container (persist::parse_container) and the
 //     in-place arena adoption behind it (Dictionary::restore_sections), fed
 //     a 64-byte-aligned copy of the input the way an mmap would present it.
-//     Sections are read in the shard-file layout: tag 1 meta (u64 epoch,
-//     u64 n, 20B root), tag 2 entry log, tag 3 sorted index, tag 4 tree.
+//     Arenas are read at the RA store's snapshot tags for its first CA,
+//     (1 << 8) | ra::DictionaryStore::kSectionKind{Log,Sorted,Tree}; the
+//     meta section (tag kSectionMeta) holds just the per-dictionary triple
+//     the store's meta records for each CA — u64 epoch, u64 n, 20B root —
+//     so the store's signed-root and freshness fields stay out of the way.
 // Properties checked beyond "no crash":
 //   * a wire decode that succeeds re-encodes to exactly the bytes it
 //     consumed (the codec is canonical);
@@ -31,15 +34,18 @@
 #include "common/rng.hpp"
 #include "dict/dictionary.hpp"
 #include "persist/sections.hpp"
+#include "ra/store.hpp"
 
 namespace {
 
 using namespace ritm;
 
-constexpr std::uint32_t kTagMeta = 1;
-constexpr std::uint32_t kTagLog = 2;
-constexpr std::uint32_t kTagSorted = 3;
-constexpr std::uint32_t kTagTree = 4;
+using Store = ra::DictionaryStore;
+constexpr std::uint32_t kTagMeta = Store::kSectionMeta;
+constexpr std::uint32_t kFirstCa = 1u << 8;
+constexpr std::uint32_t kTagLog = kFirstCa | Store::kSectionKindLog;
+constexpr std::uint32_t kTagSorted = kFirstCa | Store::kSectionKindSorted;
+constexpr std::uint32_t kTagTree = kFirstCa | Store::kSectionKindTree;
 
 bool same_bytes(ByteSpan a, ByteSpan b) {
   return a.size() == b.size() &&

@@ -79,11 +79,6 @@ class Dictionary {
   /// responses without re-proving (ra::DictionaryStore).
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// True when a mutation has outdated the Merkle tree and the next root()
-  /// (or prove()) will pay for a rebuild. ShardedDictionary::rebuild_dirty
-  /// uses this to fan only the dirty shards across a thread pool.
-  bool tree_stale() const noexcept { return !tree_valid_; }
-
   bool contains(const cert::SerialNumber& serial) const;
 
   /// Looks up the revocation number of a serial, if revoked.

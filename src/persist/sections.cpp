@@ -145,8 +145,7 @@ const SectionView* find_section(const std::vector<SectionView>& sections,
 
 std::uint64_t commit_container_file(const std::string& dir,
                                     const std::string& name, ByteSpan header,
-                                    const std::vector<SectionSpec>& sections,
-                                    bool sync_dir) {
+                                    const std::vector<SectionSpec>& sections) {
   const std::string final_path = dir + "/" + name;
   const std::string tmp_path = final_path + ".tmp";
   const int fd =
@@ -168,16 +167,16 @@ std::uint64_t commit_container_file(const std::string& dir,
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     fail("rename " + tmp_path);
   }
-  if (sync_dir) fsync_dir(dir);
+  fsync_path(dir);
   return total;
 }
 
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) fail("open " + dir + " for fsync");
+void fsync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail("open " + path + " for fsync");
   const int rc = ::fsync(fd);
   ::close(fd);
-  if (rc != 0) fail("fsync " + dir);
+  if (rc != 0) fail("fsync " + path);
 }
 
 }  // namespace ritm::persist

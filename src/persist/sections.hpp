@@ -1,5 +1,4 @@
-// Section container: the fixed-layout, mmap-ready payload of snapshot files
-// (and of per-shard checkpoint files).
+// Section container: the fixed-layout, mmap-ready payload of snapshot files.
 //
 // A container is a section directory followed by 64-byte-aligned sections,
 // each CRC-guarded independently so a reader can validate without copying:
@@ -76,17 +75,16 @@ const SectionView* find_section(const std::vector<SectionView>& sections,
 /// Atomically commits `header` (a multiple of kSectionAlign bytes, so the
 /// container starts aligned) followed by a container of `sections` as
 /// `dir`/`name`: writes `name`.tmp in full, fsyncs it, renames it over
-/// `name`, then fsyncs `dir` unless `sync_dir` is false (callers that
-/// commit a batch of files fsync the directory once via fsync_dir).
-/// Returns the file's size in bytes. Throws std::runtime_error on I/O
-/// failure; a leftover .tmp is ignored by every reader.
+/// `name`, then fsyncs `dir`. Returns the file's size in bytes. Throws
+/// std::runtime_error on I/O failure; a leftover .tmp is ignored by every
+/// reader.
 std::uint64_t commit_container_file(const std::string& dir,
                                     const std::string& name, ByteSpan header,
-                                    const std::vector<SectionSpec>& sections,
-                                    bool sync_dir = true);
+                                    const std::vector<SectionSpec>& sections);
 
-/// fsyncs directory `dir`, making the renames inside it durable. Throws
-/// std::runtime_error on failure.
-void fsync_dir(const std::string& dir);
+/// Opens `path` read-only and fsyncs it. On a directory this makes the
+/// files created or renamed inside it durable. Throws std::runtime_error
+/// on failure.
+void fsync_path(const std::string& path);
 
 }  // namespace ritm::persist

@@ -22,6 +22,9 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {'R', 'I', 'T', 'M', 'S', 'N', 'A', 'P'};
 constexpr std::uint32_t kVersion = 2;
 
+/// Snapshots kept after a commit: the newest plus one fallback.
+constexpr std::size_t kKeep = 2;
+
 std::string snapshot_name(std::uint64_t seq) {
   // Zero-padded hex so lexicographic name order equals seq order.
   char buf[40];
@@ -46,6 +49,38 @@ std::optional<std::uint64_t> parse_snapshot_name(const std::string& name) {
     seq = (seq << 4) | digit;
   }
   return seq;
+}
+
+/// The seq of every snapshot file in `dir`, newest first, validated or not
+/// (.tmp leftovers and foreign files excluded).
+std::vector<std::uint64_t> snapshot_seqs(const std::string& dir) {
+  std::vector<std::uint64_t> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (const auto s = parse_snapshot_name(entry.path().filename().string())) {
+      out.push_back(*s);
+    }
+  }
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return out;
+}
+
+/// Maps snapshot `seq` of `dir` and validates it fully; nullopt on any
+/// failure.
+std::optional<SnapshotFile::Mapped> map_snapshot(const std::string& dir,
+                                                 std::uint64_t seq) {
+  auto file = MappedFile::map(dir + "/" + snapshot_name(seq));
+  if (!file) return std::nullopt;
+  const ByteSpan data = file->span();
+  if (data.size() < SnapshotFile::kV2HeaderSize ||
+      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+    return std::nullopt;
+  }
+  ByteReader r{data.subspan(sizeof(kMagic))};
+  if (r.u32() != kVersion || r.u64() != seq) return std::nullopt;
+  auto sections = parse_container(data.subspan(SnapshotFile::kV2HeaderSize));
+  if (!sections) return std::nullopt;
+  return SnapshotFile::Mapped{seq, std::move(file), std::move(*sections)};
 }
 
 }  // namespace
@@ -76,8 +111,7 @@ MappedFile::~MappedFile() {
 }
 
 std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
-                                     const std::vector<SectionSpec>& sections,
-                                     std::size_t keep) {
+                                     const std::vector<SectionSpec>& sections) {
   std::filesystem::create_directories(dir);
 
   std::uint8_t header[kV2HeaderSize] = {};
@@ -89,50 +123,21 @@ std::uint64_t SnapshotFile::write_v2(const std::string& dir, std::uint64_t seq,
   const std::uint64_t total = commit_container_file(
       dir, snapshot_name(seq), ByteSpan(header, sizeof(header)), sections);
 
-  // Retention: drop everything older than the newest `keep` snapshots. The
-  // just-committed file is newest, so at least it always survives.
-  const std::vector<std::uint64_t> on_disk = seqs(dir);
-  for (std::size_t i = std::max<std::size_t>(keep, 1); i < on_disk.size();
-       ++i) {
+  // Retention: drop everything older than the newest kKeep snapshots. The
+  // just-committed file is newest, so it always survives.
+  const std::vector<std::uint64_t> on_disk = snapshot_seqs(dir);
+  for (std::size_t i = kKeep; i < on_disk.size(); ++i) {
     std::error_code ec;  // best-effort cleanup; stale files are harmless
     std::filesystem::remove(dir + "/" + snapshot_name(on_disk[i]), ec);
   }
   return total;
 }
 
-std::vector<std::uint64_t> SnapshotFile::seqs(const std::string& dir) {
-  std::vector<std::uint64_t> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (const auto s = parse_snapshot_name(entry.path().filename().string())) {
-      out.push_back(*s);
-    }
-  }
-  std::sort(out.begin(), out.end(), std::greater<>());
-  return out;
-}
-
-std::optional<SnapshotFile::Mapped> SnapshotFile::map(const std::string& dir,
-                                                      std::uint64_t seq) {
-  auto file = MappedFile::map(dir + "/" + snapshot_name(seq));
-  if (!file) return std::nullopt;
-  const ByteSpan data = file->span();
-  if (data.size() < kV2HeaderSize ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return std::nullopt;
-  }
-  ByteReader r{data.subspan(sizeof(kMagic))};
-  if (r.u32() != kVersion || r.u64() != seq) return std::nullopt;
-  auto sections = parse_container(data.subspan(kV2HeaderSize));
-  if (!sections) return std::nullopt;
-  return Mapped{seq, std::move(file), std::move(*sections)};
-}
-
 std::optional<SnapshotFile::Mapped> SnapshotFile::map_newest(
     const std::string& dir, std::uint64_t* skipped) {
   if (skipped != nullptr) *skipped = 0;
-  for (const std::uint64_t seq : seqs(dir)) {
-    if (auto mapped = map(dir, seq)) return mapped;
+  for (const std::uint64_t seq : snapshot_seqs(dir)) {
+    if (auto mapped = map_snapshot(dir, seq)) return mapped;
     if (skipped != nullptr) ++*skipped;
   }
   return std::nullopt;

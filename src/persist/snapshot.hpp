@@ -13,8 +13,8 @@
 // (dict::Dictionary::restore_sections); the entry log and digest arena are
 // never copied or re-hashed on the restore path.
 //
-// Commit protocol (crash-safe on POSIX rename semantics, shared with the
-// shard files of persist::ShardCheckpointer via commit_container_file):
+// Commit protocol (crash-safe on POSIX rename semantics; see
+// commit_container_file):
 //   1. write snap-<seq>.snap.tmp in full,
 //   2. fsync the tmp file,
 //   3. rename(2) it to snap-<seq>.snap,
@@ -74,23 +74,15 @@ class SnapshotFile {
 
   /// Atomically commits `sections` as the snapshot covering WAL records up
   /// to and including `seq`, streaming them straight to the tmp fd (no
-  /// whole-file staging). Creates `dir` if needed. Older snapshots beyond
-  /// the most recent `keep` are deleted after the commit (the newest valid
-  /// one plus one fallback by default). Returns the committed file's size
-  /// in bytes. Throws std::runtime_error on I/O failure.
+  /// whole-file staging). Creates `dir` if needed. Only the two newest
+  /// snapshots are kept after the commit — the newest plus one fallback
+  /// for when it fails validation. Returns the committed file's size in
+  /// bytes. Throws std::runtime_error on I/O failure.
   static std::uint64_t write_v2(const std::string& dir, std::uint64_t seq,
-                                const std::vector<SectionSpec>& sections,
-                                std::size_t keep = 2);
+                                const std::vector<SectionSpec>& sections);
 
-  /// The seq of every snapshot file in `dir`, newest first, validated or
-  /// not (.tmp leftovers and foreign files excluded).
-  static std::vector<std::uint64_t> seqs(const std::string& dir);
-
-  /// Maps snapshot `seq` of `dir` and validates it fully (magic, version,
-  /// stamp, directory, and every section CRC). nullopt on any failure.
-  static std::optional<Mapped> map(const std::string& dir, std::uint64_t seq);
-
-  /// Maps the newest snapshot in `dir` that validates fully, skipping (and
+  /// Maps the newest snapshot in `dir` that validates fully (magic,
+  /// version, stamp, directory, and every section CRC), skipping (and
   /// counting into `skipped`, when given) every newer one that does not.
   /// nullopt when no valid snapshot exists.
   static std::optional<Mapped> map_newest(const std::string& dir,

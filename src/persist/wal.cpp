@@ -9,6 +9,7 @@
 
 #include "common/crc32.hpp"
 #include "common/io.hpp"
+#include "persist/sections.hpp"
 
 namespace ritm::persist {
 
@@ -136,14 +137,8 @@ WalScan WriteAheadLog::open(const std::string& path, Options opts) {
       // an fsync of the parent, a power loss can make the whole log vanish
       // even though records were "durably" appended to it.
       const std::size_t slash = path.find_last_of('/');
-      const std::string dir = slash == std::string::npos
-                                  ? std::string(".")
-                                  : path.substr(0, slash);
-      const int dfd = ::open(dir.c_str(), O_RDONLY | O_CLOEXEC);
-      if (dfd < 0) fail("open dir for fsync");
-      const int rc = ::fsync(dfd);
-      ::close(dfd);
-      if (rc != 0) fail("fsync dir");
+      fsync_path(slash == std::string::npos ? std::string(".")
+                                            : path.substr(0, slash));
     }
     size_ = kHeaderSize;
   } else {

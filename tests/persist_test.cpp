@@ -1,9 +1,10 @@
 // Persistence suite: WAL framing + torn-write truncation at every byte of
 // the final record and every framing field, atomic snapshot commit and
 // fallback, the dictionary wire codec, RA store persist/recover with crash
-// simulation, per-shard checkpoints, and the CDN cold-start bootstrap. The crash-consistency property pinned throughout: recovery
-// from a prefix of the log always equals an in-memory replay of exactly
-// that prefix — root, epoch, and proof bytes identical.
+// simulation, and the CDN cold-start bootstrap. The crash-consistency
+// property pinned throughout: recovery from a prefix of the log always
+// equals an in-memory replay of exactly that prefix — root, epoch, and
+// proof bytes identical.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,12 +20,9 @@
 #include "cdn/service.hpp"
 #include "common/crc32.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "dict/dictionary.hpp"
-#include "dict/sharded.hpp"
 #include "persist/recovery.hpp"
 #include "persist/sections.hpp"
-#include "persist/shard_checkpoint.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "ra/store.hpp"
@@ -605,206 +603,6 @@ TEST(StorePersist, V2CorruptionAtEveryStructuralByteFallsBack) {
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.snapshots_skipped, 0u);
   EXPECT_EQ(recovered.have_n(ca.id()), live.have_n(ca.id()));
-}
-
-// ------------------------------------- per-shard incremental checkpoints
-
-TEST(ShardCheckpoint, IncrementalRoundTripSkipsCleanShards) {
-  TempDir dir("shardckpt");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(71);
-  for (int i = 0; i < 400; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(20)) * 86'400 + 100);
-  }
-
-  persist::ShardCheckpointer ck(dir.str());
-  ThreadPool pool(4);
-  const auto full = ck.checkpoint(sharded, &pool);
-  EXPECT_EQ(full.shards_written, sharded.shard_count());
-  EXPECT_EQ(full.shards_skipped, 0u);
-  EXPECT_GT(full.bytes_written, 0u);
-
-  // Nothing moved: the next checkpoint rewrites no shard at all.
-  const auto clean = ck.checkpoint(sharded);
-  EXPECT_EQ(clean.shards_written, 0u);
-  EXPECT_EQ(clean.shards_skipped, sharded.shard_count());
-
-  // Dirty exactly one expiry bucket: exactly one shard file is rewritten,
-  // and the incremental byte cost is a fraction of the full checkpoint.
-  sharded.insert(SerialNumber::from_uint(0xBEEF, 4), 5 * 86'400 + 100);
-  const auto incr = ck.checkpoint(sharded);
-  EXPECT_EQ(incr.shards_written, 1u);
-  EXPECT_EQ(incr.shards_skipped, sharded.shard_count() - 1);
-  EXPECT_LT(incr.bytes_written, full.bytes_written / 4);
-
-  // Recovery adopts the shard files in place and matches every root.
-  dict::ShardedDictionary restored(123);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_EQ(rec.shards, sharded.shard_count());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-  EXPECT_EQ(restored.bucket_width(), sharded.bucket_width());
-  EXPECT_EQ(restored.total_entries(), sharded.total_entries());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  const auto probe = SerialNumber::from_uint(0xBEEF, 4);
-  EXPECT_EQ(restored.prove(probe, 5 * 86'400 + 100).encode(),
-            sharded.prove(probe, 5 * 86'400 + 100).encode());
-
-  // The recovering checkpointer primed its dirty tracking off the
-  // manifest: a checkpoint of the just-restored state is a no-op.
-  const auto primed = ck2.checkpoint(restored);
-  EXPECT_EQ(primed.shards_written, 0u);
-}
-
-TEST(ShardCheckpoint, PruneAfterCheckpointDropsShardsOnDisk) {
-  TempDir dir("shardckpt-prune");
-  dict::ShardedDictionary sharded(100);
-  for (int i = 0; i < 10; ++i) {
-    sharded.insert(SerialNumber::from_uint(std::uint64_t(i) + 1, 4),
-                   static_cast<UnixSeconds>(i) * 100 + 50);
-  }
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-  ASSERT_GT(sharded.prune(500), 0u);  // drop the oldest buckets
-  ck.checkpoint(sharded);
-
-  dict::ShardedDictionary restored(100);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_EQ(restored.shard_count(), sharded.shard_count());
-  EXPECT_EQ(restored.shard_roots(), sharded.shard_roots());
-  EXPECT_EQ(restored.epoch(), sharded.epoch());
-}
-
-TEST(ShardCheckpoint, CorruptShardFileFailsRecoveryUntouched) {
-  TempDir dir("shardckpt-corrupt");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(73);
-  for (int i = 0; i < 100; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(8)) * 86'400 + 100);
-  }
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-
-  // Flip one content byte of some shard file: its section CRC fails, and
-  // recovery refuses the whole manifest (shards are CA-side state the
-  // caller rebuilds from its feed — no partial restore).
-  std::string shard_file;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    if (entry.path().extension() == ".shard") {
-      shard_file = entry.path().string();
-      break;
-    }
-  }
-  ASSERT_FALSE(shard_file.empty());
-  Bytes image = read_all(shard_file);
-  // The container starts after the 64-byte shard stamp; flip the first
-  // content byte of its first section (the trailing file bytes are
-  // alignment padding no CRC covers).
-  std::uint8_t* base = image.data() + 64;
-  const std::uint64_t off = rd_be64(base + persist::kSectionHeaderSize + 8);
-  base[off] ^= 0x01;
-  write_all(shard_file, ByteSpan(image));
-
-  dict::ShardedDictionary restored(555);
-  restored.insert(SerialNumber::from_uint(42, 4), 600);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  EXPECT_FALSE(rec.ok);
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_FALSE(rec.error.empty());
-  // The target dictionary is untouched on failure.
-  EXPECT_EQ(restored.total_entries(), 1u);
-  EXPECT_EQ(restored.bucket_width(), 555);
-}
-
-/// The newest manifest (snap-*.snap) in a checkpoint directory.
-std::string newest_manifest(const TempDir& dir) {
-  std::string newest;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
-    if (entry.path().extension() != ".snap") continue;
-    if (entry.path().string() > newest) newest = entry.path().string();
-  }
-  return newest;
-}
-
-TEST(ShardCheckpoint, CorruptNewestManifestFallsBack) {
-  TempDir dir("shardckpt-manifest");
-  dict::ShardedDictionary sharded(86'400);
-  Rng rng(75);
-  for (int i = 0; i < 100; ++i) {
-    sharded.insert(SerialNumber::from_uint(rng.uniform(1 << 20), 4),
-                   static_cast<UnixSeconds>(rng.uniform(8)) * 86'400 + 100);
-  }
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-  const auto epoch_before = sharded.epoch();
-  const auto roots_before = sharded.shard_roots();
-  const auto entries_before = sharded.total_entries();
-
-  // Dirty one shard and checkpoint again: that shard gets a new file, and
-  // pruning must keep its old file because the previous manifest still
-  // references it.
-  sharded.insert(SerialNumber::from_uint(0xBEEF, 4), 3 * 86'400 + 100);
-  ASSERT_EQ(ck.checkpoint(sharded).shards_written, 1u);
-
-  const std::string manifest = newest_manifest(dir);
-  ASSERT_FALSE(manifest.empty());
-  Bytes image = read_all(manifest);
-  const std::size_t first_section =
-      SnapshotFile::kV2HeaderSize +
-      persist::align_section(persist::kSectionHeaderSize +
-                             persist::kSectionDirEntrySize);
-  ASSERT_GT(image.size(), first_section);
-  image[first_section] ^= 0x01;  // the manifest's version byte
-  write_all(manifest, ByteSpan(image));
-
-  dict::ShardedDictionary restored(123);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  ASSERT_TRUE(rec.ok) << rec.error;
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_EQ(rec.epoch, epoch_before);
-  EXPECT_EQ(restored.epoch(), epoch_before);
-  EXPECT_EQ(restored.shard_roots(), roots_before);
-  EXPECT_EQ(restored.total_entries(), entries_before);
-}
-
-// A manifest whose CRCs check out but whose shard count exceeds what its
-// bytes can hold must fail recovery cleanly, never allocate for the count.
-TEST(ShardCheckpoint, ForgedManifestCountFailsRecoveryUntouched) {
-  TempDir dir("shardckpt-count");
-  dict::ShardedDictionary sharded(100);
-  sharded.insert(SerialNumber::from_uint(7, 4), 150);
-  persist::ShardCheckpointer ck(dir.str());
-  ck.checkpoint(sharded);
-
-  Bytes payload;
-  ByteWriter w(payload);
-  w.u8(1);  // manifest version
-  w.u64(100);
-  w.u64(sharded.epoch() + 1);
-  w.u32(0xFFFFFFFF);  // shard count
-  w.u64(1);           // one (key, epoch) entry of the claimed four billion
-  w.u64(1);
-  SnapshotFile::write_v2(
-      dir.str(), sharded.epoch() + 1,
-      {{persist::ShardCheckpointer::kManifestSection, ByteSpan(payload)}});
-
-  dict::ShardedDictionary restored(555);
-  restored.insert(SerialNumber::from_uint(42, 4), 600);
-  persist::ShardCheckpointer ck2(dir.str());
-  const auto rec = ck2.recover(restored);
-  EXPECT_FALSE(rec.ok);
-  EXPECT_TRUE(rec.have_manifest);
-  EXPECT_FALSE(rec.error.empty());
-  EXPECT_EQ(restored.total_entries(), 1u);
-  EXPECT_EQ(restored.bucket_width(), 555);
 }
 
 // The acceptance property: 1k random mutation batches, a simulated crash at

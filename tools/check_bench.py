@@ -83,8 +83,6 @@ CEILINGS = [
      "gossip rounds until every RA holds the full root set", None),
     ("checkpoint.stall_us", 5000,
      "mean freeze stall a background checkpoint imposes on mutators", None),
-    ("checkpoint.incremental_bytes_ratio", 0.20,
-     "incremental shard checkpoint bytes vs full at 1% dirt", None),
     # The paper's §V bound: a revocation reaches every client within 2∆
     # (∆ = 10 s in the scenario presets) plus publication margin. Measured
     # p99 ≈ 6.7 s on the heartbleed preset; 25 s means dissemination broke.
