@@ -719,7 +719,8 @@ int main() {
   // --- multi-reactor scaling: aggregate batched-status RPS as the reactor
   // count grows (the PR 7 headline). Each configuration runs max(2, R)
   // client threads, every thread pipelining depth-4 batched status queries
-  // on its own connection against a server with R SO_REUSEPORT reactors.
+  // on its own connection against a server with R reactors, to which the
+  // acceptor thread hands the connections round-robin.
   // On a box with >= 8 cores the 4-reactor aggregate must clear 2.5x the
   // 1-reactor number (tools/check_bench.py enforces the floor; on smaller
   // machines the `cores` field documents why it cannot be measured).

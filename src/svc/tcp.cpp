@@ -84,73 +84,34 @@ TcpServer::TcpServer(Service* service, TcpServerOptions opts)
     return std::runtime_error("TcpServer: " + what);
   };
 
-  const auto make_listener = [&](std::uint16_t port,
-                                 bool want_reuseport) -> int {
-    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return -1;
-    int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (want_reuseport &&
-        setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        listen(fd, 128) != 0) {
-      ::close(fd);
-      return -1;
-    }
-    if (port_ == 0) {
-      socklen_t len = sizeof(addr);
-      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      port_ = ntohs(addr.sin_port);
-    }
-    set_nonblocking(fd);
-    return fd;
-  };
+  // One listener, owned by the acceptor thread, which hands accepted fds
+  // to the reactors round-robin.
+  listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) throw fail("socket failed");
+  cleanup.push_back(listen_fd_);
+  int one = 1;
+  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(opts_.port);
+  socklen_t len = sizeof(addr);
+  if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      listen(listen_fd_, 128) != 0 ||
+      getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    throw fail("bind/listen failed");
+  }
+  port_ = ntohs(addr.sin_port);
+  set_nonblocking(listen_fd_);
+  acceptor_wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (acceptor_wake_fd_ < 0) throw fail("eventfd failed");
+  cleanup.push_back(acceptor_wake_fd_);
 
   reactors_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>());
     reactors_.back()->index = i;
   }
-
-  // Listener topology: one SO_REUSEPORT listener per reactor when the
-  // kernel cooperates, otherwise a single listener owned by an acceptor
-  // thread that hands accepted fds to reactors round-robin.
-  reuseport_ = !opts_.force_fd_handoff;
-  if (reuseport_) {
-    for (auto& r : reactors_) {
-      r->listen_fd = make_listener(port_ != 0 ? port_ : opts_.port, true);
-      if (r->listen_fd < 0) {
-        reuseport_ = false;
-        break;
-      }
-      cleanup.push_back(r->listen_fd);
-    }
-    if (!reuseport_) {
-      // Partial REUSEPORT setup: unwind and fall back.
-      for (auto& r : reactors_) {
-        if (r->listen_fd >= 0) ::close(r->listen_fd);
-        r->listen_fd = -1;
-      }
-      cleanup.clear();
-      port_ = 0;
-    }
-  }
-  if (!reuseport_) {
-    acceptor_listen_fd_ = make_listener(opts_.port, false);
-    if (acceptor_listen_fd_ < 0) throw fail("bind/listen failed");
-    cleanup.push_back(acceptor_listen_fd_);
-    acceptor_wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (acceptor_wake_fd_ < 0) throw fail("eventfd failed");
-    cleanup.push_back(acceptor_wake_fd_);
-  }
-
   for (auto& r : reactors_) {
     r->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
     r->wake_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
@@ -165,10 +126,6 @@ TcpServer::TcpServer(Service* service, TcpServerOptions opts)
     ev.events = EPOLLIN;
     ev.data.fd = r->wake_fd;
     epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, r->wake_fd, &ev);
-    if (r->listen_fd >= 0) {
-      ev.data.fd = r->listen_fd;
-      epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, r->listen_fd, &ev);
-    }
   }
 
   running_.store(true, std::memory_order_release);
@@ -176,9 +133,7 @@ TcpServer::TcpServer(Service* service, TcpServerOptions opts)
     Reactor* rp = r.get();
     r->thread = std::thread([this, rp] { reactor_loop(*rp); });
   }
-  if (!reuseport_) {
-    acceptor_thread_ = std::thread([this] { acceptor_loop(); });
-  }
+  acceptor_thread_ = std::thread([this] { acceptor_loop(); });
 }
 
 TcpServer::~TcpServer() { stop(); }
@@ -203,14 +158,13 @@ void TcpServer::stop() {
     // Adopt-queued fds that never reached a reactor still need closing.
     for (int fd : r->handoff) ::close(fd);
     r->handoff.clear();
-    if (r->listen_fd >= 0) ::close(r->listen_fd);
     if (r->epoll_fd >= 0) ::close(r->epoll_fd);
     if (r->wake_fd >= 0) ::close(r->wake_fd);
-    r->listen_fd = r->epoll_fd = r->wake_fd = -1;
+    r->epoll_fd = r->wake_fd = -1;
   }
-  if (acceptor_listen_fd_ >= 0) ::close(acceptor_listen_fd_);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
   if (acceptor_wake_fd_ >= 0) ::close(acceptor_wake_fd_);
-  acceptor_listen_fd_ = acceptor_wake_fd_ = -1;
+  listen_fd_ = acceptor_wake_fd_ = -1;
   live_connections_.store(0, std::memory_order_release);
 }
 
@@ -258,7 +212,6 @@ void TcpServer::adopt(Reactor& r, int fd) {
   set_nodelay(fd);
   Connection conn;
   conn.req_tokens = double(opts_.burst_requests);
-  conn.byte_tokens = double(opts_.burst_bytes);
   conn.last_refill_ms = conn.last_progress_ms = mono_ms();
   r.connections.emplace(fd, std::move(conn));
   epoll_event ev{};
@@ -268,28 +221,18 @@ void TcpServer::adopt(Reactor& r, int fd) {
   r.counters.accepted.fetch_add(1, std::memory_order_release);
 }
 
-void TcpServer::accept_ready(Reactor& r) {
-  while (true) {
-    const int fd = accept4(r.listen_fd, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: done for this round
-    if (!admit(fd, r.counters)) continue;
-    adopt(r, fd);
-  }
-}
-
 void TcpServer::acceptor_loop() {
-  // fd-handoff fallback: this thread owns the only listener and spreads
-  // accepted fds across reactors round-robin; each handoff is one queue
-  // push and one eventfd write.
-  pollfd pfds[2] = {{acceptor_listen_fd_, POLLIN, 0},
+  // This thread owns the only listener and spreads accepted fds across
+  // reactors round-robin; each handoff is one queue push and one eventfd
+  // write.
+  pollfd pfds[2] = {{listen_fd_, POLLIN, 0},
                     {acceptor_wake_fd_, POLLIN, 0}};
   while (running_.load(std::memory_order_acquire)) {
     const int pr = poll(pfds, 2, 200);
     if (pr < 0 && errno != EINTR) break;
     if (pfds[1].revents & POLLIN) drain_eventfd(acceptor_wake_fd_);
     while (running_.load(std::memory_order_acquire)) {
-      const int fd = accept4(acceptor_listen_fd_, nullptr, nullptr,
+      const int fd = accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;
       if (!admit(fd, reactors_.front()->counters)) continue;
@@ -328,10 +271,6 @@ void TcpServer::reactor_loop(Reactor& r) {
         for (int afd : adopted) adopt(r, afd);
         continue;
       }
-      if (fd == r.listen_fd) {
-        accept_ready(r);
-        continue;
-      }
       auto it = r.connections.find(fd);
       if (it == r.connections.end()) continue;
       bool alive = true;
@@ -349,17 +288,10 @@ void TcpServer::reactor_loop(Reactor& r) {
 }
 
 void TcpServer::refill(Connection& c, std::uint64_t now_ms) {
-  if (opts_.requests_per_sec <= 0.0 && opts_.bytes_per_sec <= 0.0) return;
   const double dt = double(now_ms - c.last_refill_ms) / 1000.0;
   c.last_refill_ms = now_ms;
-  if (opts_.requests_per_sec > 0.0) {
-    c.req_tokens = std::min(c.req_tokens + dt * opts_.requests_per_sec,
-                            double(opts_.burst_requests));
-  }
-  if (opts_.bytes_per_sec > 0.0) {
-    c.byte_tokens = std::min(c.byte_tokens + dt * opts_.bytes_per_sec,
-                             double(opts_.burst_bytes));
-  }
+  c.req_tokens = std::min(c.req_tokens + dt * opts_.requests_per_sec,
+                          double(opts_.burst_requests));
 }
 
 int TcpServer::sweep(Reactor& r, std::uint64_t now_ms) {
@@ -416,17 +348,33 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
     if (c.in.size() > sizeof(buf)) break;  // give other fds a turn
   }
 
-  // Dispatch every complete frame buffered so far. Responses are queued
-  // per frame and flushed together with writev below — a pipelined burst
-  // costs one flush, not one write syscall per response.
-  const bool quotas =
-      opts_.requests_per_sec > 0.0 || opts_.bytes_per_sec > 0.0;
+  return write_ready(r, fd, c);
+}
+
+bool TcpServer::write_ready(Reactor& r, int fd, Connection& c) {
+  // Frames that dispatch left in c.in at the output ceiling are served as
+  // the queue drains: EPOLLIN does not fire again for bytes already read.
+  while (true) {
+    const bool at_ceiling = dispatch(r, c);
+    if (!flush(r, fd, c)) return false;
+    if (!at_ceiling || c.out_bytes > opts_.max_output_buffer) return true;
+  }
+}
+
+bool TcpServer::dispatch(Reactor& r, Connection& c) {
+  // Responses are queued per frame and flushed together with writev — a
+  // pipelined burst costs one flush, not one write syscall per response.
   std::size_t offset = 0;
+  bool at_ceiling = false;
   while (!c.close_after_flush) {
+    if (c.out_bytes > opts_.max_output_buffer) {
+      at_ceiling = true;
+      break;
+    }
     const ByteSpan pending(c.in.data() + offset, c.in.size() - offset);
-    if (quotas) {
-      // Peek the next frame so quotas apply before the service runs. A
-      // well-formed request past quota gets an `overloaded` envelope with
+    if (opts_.requests_per_sec > 0.0) {
+      // Peek the next frame so the quota applies before the service runs.
+      // A well-formed request past quota gets an `overloaded` envelope with
       // a retry_after hint computed from the bucket deficit, and the
       // connection stops being read until the bucket refills; malformed
       // frames fall through to serve_bytes' normal error handling.
@@ -435,21 +383,8 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
       const DecodedFrame d = decode_frame(pending, opts_.max_frame_bytes);
       if (d.status == Status::truncated) break;
       if (d.status == Status::ok && d.is_request) {
-        const double cost = double(d.consumed);
-        const bool over_req =
-            opts_.requests_per_sec > 0.0 && c.req_tokens < 1.0;
-        const bool over_bytes =
-            opts_.bytes_per_sec > 0.0 && c.byte_tokens < cost;
-        if (over_req || over_bytes) {
-          double wait_s = 0.0;
-          if (over_req) {
-            wait_s = std::max(
-                wait_s, (1.0 - c.req_tokens) / opts_.requests_per_sec);
-          }
-          if (over_bytes) {
-            wait_s = std::max(wait_s,
-                              (cost - c.byte_tokens) / opts_.bytes_per_sec);
-          }
+        if (c.req_tokens < 1.0) {
+          const double wait_s = (1.0 - c.req_tokens) / opts_.requests_per_sec;
           // Floor the pause at retry_after_ms: a pipelining flooder would
           // otherwise be re-read every bucket tick (~1ms at typical rates)
           // and the refusal churn alone could crowd out compliant
@@ -474,8 +409,7 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
           r.counters.throttled.fetch_add(1, std::memory_order_release);
           continue;
         }
-        if (opts_.requests_per_sec > 0.0) c.req_tokens -= 1.0;
-        if (opts_.bytes_per_sec > 0.0) c.byte_tokens -= cost;
+        c.req_tokens -= 1.0;
       }
     }
     ServerReply reply = serve_bytes(*service_, pending, opts_.max_frame_bytes);
@@ -492,10 +426,10 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
     }
   }
   if (offset > 0) c.in.erase(c.in.begin(), c.in.begin() + offset);
-  return write_ready(r, fd, c);
+  return at_ceiling;
 }
 
-bool TcpServer::write_ready(Reactor& r, int fd, Connection& c) {
+bool TcpServer::flush(Reactor& r, int fd, Connection& c) {
   while (c.out_bytes > 0) {
     // Batch the queued response frames into one writev: gather up to
     // kMaxWritevIov frames, honouring the partial write offset of the

@@ -4,16 +4,13 @@
 // an RA serve status traffic over an actual socket (tools/ritm_serve.cpp)
 // instead of only inside the simulator.
 //
-// Server design (PR 7 multi-reactor):
+// Server design:
 //   * N reactors (default: one per hardware thread), each a dedicated
 //     thread pinned to a core running its own epoll loop over its own
 //     connection table — no shared mutable state on the request path
-//   * listener: every reactor binds its own SO_REUSEPORT listener on the
-//     same port, so the kernel spreads accepted connections across
-//     reactors with zero cross-thread handoff. Where SO_REUSEPORT is
-//     unavailable (or force_fd_handoff is set), one acceptor thread owns a
-//     single listener and round-robins accepted fds to reactors through
-//     eventfd-signalled handoff queues
+//   * one accept path: an acceptor thread owns the only listener and
+//     round-robins accepted fds to the reactors through eventfd-signalled
+//     handoff queues, so N connections land on N distinct reactors
 //   * per-connection receive buffer fed to svc::serve_bytes — the shared
 //     dispatch, so responses are byte-identical to the in-process
 //     transport regardless of which reactor serves them
@@ -23,15 +20,17 @@
 //   * connection limit: admission is one atomic fetch_add on the global
 //     live-connection count; accepts past `max_connections` are answered
 //     with an `overloaded` envelope and closed immediately
-//   * backpressure: while a connection's pending output exceeds
-//     `max_output_buffer`, the reactor stops *reading* from it (EPOLLIN
-//     off) until the client drains responses — a slow reader stalls only
-//     itself, never the server's memory
-//   * per-client quotas: each connection carries a request-rate and an
-//     inbound-byte token bucket (reactor-local — no quota state is shared
-//     across threads); a frame past quota is answered with an `overloaded`
-//     envelope carrying a retry_after hint, and the connection stops being
-//     read until its bucket refills
+//   * backpressure: dispatch stops once a connection's pending output
+//     exceeds `max_output_buffer`; the frames already read stay buffered
+//     and the reactor stops *reading* from it (EPOLLIN off). Each drain of
+//     the output queue dispatches more of the buffered frames, so a slow
+//     reader's queue stays within the ceiling plus one reply frame — it
+//     stalls only itself, never the server's memory
+//   * per-client quota: each connection carries a request-rate token
+//     bucket (reactor-local — no quota state is shared across threads); a
+//     frame past quota is answered with an `overloaded` envelope carrying
+//     a retry_after hint, and the connection stops being read until its
+//     bucket refills
 //   * slow-loris guard: each reactor sweeps its own connections; one that
 //     goes `idle_timeout_ms` without completing a frame is closed
 //   * stats: per-reactor cache-line-aligned atomic counters, summed only
@@ -62,18 +61,14 @@ struct TcpServerOptions {
   std::size_t max_connections = 64;
   /// Ceiling on a single frame's frame_len.
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Pending-output ceiling per connection before reads pause.
+  /// Pending-output ceiling per connection: past it, dispatch and reads
+  /// pause until the client drains responses.
   std::size_t max_output_buffer = 4u << 20;
   /// Per-connection request-rate quota (token bucket, requests/second).
   /// 0 disables the quota.
   double requests_per_sec = 0.0;
   /// Bucket capacity for the request quota (burst allowance).
   std::uint32_t burst_requests = 32;
-  /// Per-connection inbound-byte quota (token bucket, bytes/second).
-  /// 0 disables the quota.
-  double bytes_per_sec = 0.0;
-  /// Bucket capacity for the byte quota.
-  std::uint32_t burst_bytes = 256u * 1024;
   /// Close a connection that completes no frame for this long (slow-loris
   /// guard). 0 = never.
   std::uint32_t idle_timeout_ms = 0;
@@ -85,8 +80,8 @@ struct TcpServerOptions {
   unsigned reactors = 0;
   /// Pin reactor i to core i % hardware_concurrency (failures ignored).
   bool pin_threads = true;
-  /// Test hook: skip SO_REUSEPORT and exercise the acceptor-thread
-  /// fd-handoff fallback even where REUSEPORT is available.
+  /// Ignored: the acceptor thread is the only accept path. Kept only so
+  /// existing callers that set it still compile; delete it once none do.
   bool force_fd_handoff = false;
 };
 
@@ -125,14 +120,10 @@ class TcpServer {
     return static_cast<unsigned>(reactors_.size());
   }
 
-  /// True when each reactor owns a SO_REUSEPORT listener; false on the
-  /// acceptor-thread fd-handoff fallback.
-  bool using_reuseport() const noexcept { return reuseport_; }
-
   /// Sums the per-reactor counters; only this read crosses reactors.
   Stats stats() const;
 
-  /// Stops every reactor (and the acceptor, if any) and closes every fd.
+  /// Stops the acceptor and every reactor and closes every fd.
   /// Idempotent; the destructor calls it.
   void stop();
 
@@ -148,7 +139,6 @@ class TcpServer {
     bool paused = false;     // EPOLLIN removed by backpressure
     bool throttled = false;  // EPOLLIN removed until the quota refills
     double req_tokens = 0.0;
-    double byte_tokens = 0.0;
     std::uint64_t last_refill_ms = 0;
     std::uint64_t last_progress_ms = 0;  // last completed frame (or accept)
     std::uint64_t throttled_until_ms = 0;
@@ -172,12 +162,11 @@ class TcpServer {
     unsigned index = 0;
     int epoll_fd = -1;
     int wake_fd = -1;
-    int listen_fd = -1;  // >= 0 only in SO_REUSEPORT mode
     std::thread thread;
     std::map<int, Connection> connections;  // reactor-thread private
     Counters counters;
-    // fd-handoff fallback: the acceptor pushes accepted fds here and
-    // signals wake_fd; the reactor adopts them on its next wakeup.
+    // The acceptor pushes accepted fds here and signals wake_fd; the
+    // reactor adopts them on its next wakeup.
     std::mutex handoff_mu;
     std::vector<int> handoff;
   };
@@ -188,9 +177,14 @@ class TcpServer {
   /// false when the connection was shed. `ctrs` takes the counts.
   bool admit(int fd, Counters& ctrs);
   void adopt(Reactor& r, int fd);
-  void accept_ready(Reactor& r);
   bool read_ready(Reactor& r, int fd, Connection& c);   // false = closed
+  /// Alternates dispatch and flush until the output stays over the
+  /// ceiling (the socket blocked) or no complete frame is left in c.in.
   bool write_ready(Reactor& r, int fd, Connection& c);  // false = closed
+  /// Serves complete frames from c.in until the pending output exceeds
+  /// max_output_buffer; returns true when it stopped at that ceiling.
+  bool dispatch(Reactor& r, Connection& c);
+  bool flush(Reactor& r, int fd, Connection& c);  // false = closed
   void update_interest(Reactor& r, int fd, Connection& c);
   void close_connection(Reactor& r, int fd);
   void refill(Connection& c, std::uint64_t now_ms);
@@ -201,9 +195,7 @@ class TcpServer {
   Service* service_;
   TcpServerOptions opts_;
   std::uint16_t port_ = 0;
-  bool reuseport_ = false;
-  // fd-handoff fallback only:
-  int acceptor_listen_fd_ = -1;
+  int listen_fd_ = -1;
   int acceptor_wake_fd_ = -1;
   std::thread acceptor_thread_;
   std::atomic<unsigned> next_reactor_{0};  // round-robin handoff cursor

@@ -43,7 +43,9 @@ TEST(Zipf, ProbabilitiesAreNormalizedAndMonotonic) {
   double sum = 0;
   for (std::uint64_t r = 0; r < 1000; ++r) {
     sum += z.probability(r);
-    if (r > 0) EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    if (r > 0) {
+      EXPECT_LE(z.probability(r), z.probability(r - 1)) << r;
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
   // s = 1.1 concentrates mass at the head: rank 0 beats rank 999 by ~10^3.

@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1401,16 +1402,13 @@ TEST(Tcp, QuotaEnforcedWithReactorLocalBuckets) {
   }
 }
 
-TEST(Tcp, FdHandoffFallbackServesAcrossReactors) {
-  // With SO_REUSEPORT disabled, one acceptor thread round-robins accepted
-  // sockets to the reactors over eventfd-signalled handoff queues. The
-  // serving contract is unchanged — only the accept path differs.
+TEST(Tcp, AcceptorSpreadsConnectionsAcrossReactors) {
+  // One acceptor thread round-robins accepted sockets to the reactors over
+  // eventfd-signalled handoff queues; every connection is served the same
+  // whichever reactor adopts it.
   RaFixture f;
   ra::RaService service(&f.store);
-  svc::TcpServer server(&service, {.port = 0,
-                                   .reactors = 2,
-                                   .force_fd_handoff = true});
-  ASSERT_FALSE(server.using_reuseport());
+  svc::TcpServer server(&service, {.port = 0, .reactors = 2});
   ASSERT_EQ(server.reactor_count(), 2u);
 
   std::vector<std::unique_ptr<svc::TcpClient>> clients;
@@ -1433,6 +1431,96 @@ TEST(Tcp, FdHandoffFallbackServesAcrossReactors) {
   EXPECT_EQ(server.stats().accepted, 4u);
   EXPECT_EQ(server.stats().requests, 32u);
   clients.clear();
+}
+
+TEST(Tcp, SlowReaderQueueStaysUnderOutputCeiling) {
+  // A client pipelines status batches (each reply ~100x its request) and
+  // reads nothing. The server must stop dispatching at max_output_buffer
+  // and keep the rest of what it read buffered as requests, not turn it
+  // all into queued replies.
+  RaFixture f;
+  ASSERT_TRUE(f.apply_ok);
+  ra::RaService service(&f.store);
+  constexpr std::size_t kCeiling = 64 * 1024;
+  constexpr std::uint64_t kBatches = 64;
+  svc::TcpServer server(&service, {.port = 0,
+                                   .max_output_buffer = kCeiling,
+                                   .reactors = 1});
+
+  std::vector<SerialNumber> serials;
+  for (std::uint64_t i = 1; i <= 256; ++i) {
+    serials.push_back(SerialNumber::from_uint(i, 4));
+  }
+  svc::Request req;
+  req.method = svc::Method::status_batch;
+  req.body = ra::encode_status_batch(f.ca.id(), serials);
+  Bytes burst;
+  for (std::uint64_t id = 1; id <= kBatches; ++id) {
+    req.request_id = id;
+    svc::encode_frame(req, burst);
+  }
+  // Every reply carries the same statuses, so all have this size.
+  const std::size_t reply_bytes =
+      svc::serve_bytes(service, ByteSpan(burst)).frame.size();
+  ASSERT_GT(reply_bytes, 50 * (burst.size() / kBatches));
+
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const timeval io_timeout{5, 0};  // a stuck read or write fails, never hangs
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &io_timeout, sizeof(io_timeout));
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &io_timeout, sizeof(io_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(write(fd, burst.data(), burst.size()), ssize_t(burst.size()));
+
+  // Server-side queue = replies dispatched minus bytes handed to the
+  // kernel. Sample it until the server has gone quiet for 200 ms.
+  std::int64_t max_pending = 0;
+  svc::TcpServer::Stats last{};
+  int quiet_polls = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (quiet_polls < 10 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto s = server.stats();
+    max_pending = std::max(max_pending,
+                           std::int64_t(s.requests * reply_bytes) -
+                               std::int64_t(s.bytes_out));
+    const bool quiet = s.backpressure_pauses >= 1 &&
+                       s.requests == last.requests &&
+                       s.bytes_out == last.bytes_out;
+    quiet_polls = quiet ? quiet_polls + 1 : 0;
+    last = s;
+  }
+  EXPECT_LE(max_pending, std::int64_t(kCeiling + reply_bytes));
+  EXPECT_GE(server.stats().backpressure_pauses, 1u);
+
+  // Once the client reads, the buffered requests are served in order.
+  Bytes got;
+  std::uint8_t buf[16 * 1024];
+  std::uint64_t next_id = 1;
+  while (next_id <= kBatches) {
+    const ssize_t n = read(fd, buf, sizeof(buf));
+    ASSERT_GT(n, 0) << "after " << next_id - 1 << " replies";
+    got.insert(got.end(), buf, buf + n);
+    while (true) {
+      const auto d = svc::decode_frame(ByteSpan(got));
+      if (d.status != svc::Status::ok) break;
+      EXPECT_EQ(d.response.request_id, next_id);
+      EXPECT_EQ(d.response.status, svc::Status::ok);
+      EXPECT_EQ(d.consumed, reply_bytes);
+      got.erase(got.begin(), got.begin() + d.consumed);
+      ++next_id;
+    }
+  }
+  close(fd);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(server.stats().requests, kBatches);
 }
 
 TEST(Tcp, ResilienceStackComposesOverPipelinedClientAndReactors) {

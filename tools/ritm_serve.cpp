@@ -61,10 +61,10 @@ void on_signal(int) { g_stop = 1; }
                "(default 0 = never)\n"
                "  --retry-after-ms N   retry_after hint on sheds; floor of "
                "the quota pause (default 100)\n"
-               "  --reactors N         epoll reactor threads, each with its "
-               "own SO_REUSEPORT listener\n"
-               "                       (default 0 = one per hardware "
-               "thread)\n"
+               "  --reactors N         epoll reactor threads; one acceptor "
+               "hands them connections\n"
+               "                       round-robin (default 0 = one per "
+               "hardware thread)\n"
                "  --persist-dir DIR    durable mode: recover from DIR on "
                "start, WAL + snapshot into it\n"
                "  --checkpoint-interval-s N\n"
@@ -241,9 +241,7 @@ int main(int argc, char** argv) {
               "status_query(4) status_batch(5) "
               "gossip_digest(6) gossip_pull(7) feed_delta(8)\n",
               svc::kProtocolVersion);
-  std::printf("  reactors    %u (%s)\n", server.reactor_count(),
-              server.using_reuseport() ? "SO_REUSEPORT listeners"
-                                       : "acceptor + fd handoff");
+  std::printf("  reactors    %u\n", server.reactor_count());
   if (quota_rps > 0.0 || idle_timeout_ms != 0) {
     std::printf("  limits      quota %.0f req/s (burst %u), idle timeout "
                 "%u ms, retry_after %u ms\n",
