@@ -8,15 +8,20 @@
 // output, using the largest-CRL dictionary.
 //
 // Results are also written to BENCH_throughput.json (ops/sec, ns/op, rehash
-// counts) so successive PRs have a machine-readable perf trajectory.
+// counts) so successive PRs have a machine-readable perf trajectory. The
+// ratios tools/check_bench.py gates against the committed baseline are each
+// the median of kTrials interleaved trials, with the MAD in a `_mad` key
+// next to it.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -31,6 +36,7 @@
 #include "cdn/cdn.hpp"
 #include "cdn/service.hpp"
 #include "client/client.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "crypto/sha256_engine.hpp"
 #include "dict/dictionary.hpp"
@@ -61,6 +67,19 @@ double ms_of(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              d)
       .count();
+}
+
+/// Trials per gated ratio. Each trial times the numerator and denominator
+/// back to back, so a host-wide slowdown hits both sides of one ratio; the
+/// median of the per-trial ratios ignores up to two outlier trials.
+constexpr int kTrials = 5;
+static_assert(kTrials % 2 == 1, "the median must be one of the trials");
+
+/// Median absolute deviation of the trials in `s`.
+double mad(const Summary& s) {
+  Summary dev;
+  for (const double x : s.samples()) dev.add(std::fabs(x - s.median()));
+  return dev.median();
 }
 
 /// Dictionary Δ-batch maintenance (the per-CA hot path): appends `batches`
@@ -222,7 +241,8 @@ int main() {
   // --- status serving: uncached (prove + encode per op) vs the warm
   // epoch-validated cache (lookup + memcpy per op), over a working set of
   // serials against the 339k-entry dictionary.
-  double status_cold_ns = 0, status_warm_ns = 0, status_speedup = 0;
+  double status_cold_ns = 0, status_warm_ns = 0;
+  double status_speedup = 0, status_speedup_mad = 0;
   {
     constexpr std::size_t kWorkingSet = 512;
     constexpr std::size_t kOps = 100'000;
@@ -234,33 +254,43 @@ int main() {
     Bytes sink;
     sink.reserve(2048);
 
-    // Cold path: what every packet paid before the cache existed.
-    auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kOps; ++i) {
-      sink.clear();
-      const auto status = store.status_for(ca.id(), probes[i % kWorkingSet]);
-      status->encode_into(sink);
-    }
-    status_cold_ns = ns_per_op(kOps, std::chrono::steady_clock::now() - start);
+    Summary cold, warm, ratio;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      // Cold path: what every packet paid before the cache existed.
+      auto start = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < kOps; ++i) {
+        sink.clear();
+        const auto status =
+            store.status_for(ca.id(), probes[i % kWorkingSet]);
+        status->encode_into(sink);
+      }
+      cold.add(ns_per_op(kOps, std::chrono::steady_clock::now() - start));
 
-    // Warm path: first kWorkingSet lookups prove once, the rest memcpy.
-    start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kOps; ++i) {
-      sink.clear();
-      const auto cached =
-          store.status_bytes_for(ca.id(), probes[i % kWorkingSet]);
-      append(sink, ByteSpan(*cached->bytes));
+      // Warm path: the first trial's first kWorkingSet lookups prove once,
+      // everything else is a memcpy.
+      start = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < kOps; ++i) {
+        sink.clear();
+        const auto cached =
+            store.status_bytes_for(ca.id(), probes[i % kWorkingSet]);
+        append(sink, ByteSpan(*cached->bytes));
+      }
+      warm.add(ns_per_op(kOps, std::chrono::steady_clock::now() - start));
+      ratio.add(cold.samples().back() / warm.samples().back());
     }
-    status_warm_ns = ns_per_op(kOps, std::chrono::steady_clock::now() - start);
-    status_speedup = status_cold_ns / status_warm_ns;
+    status_cold_ns = cold.median();
+    status_warm_ns = warm.median();
+    status_speedup = ratio.median();
+    status_speedup_mad = mad(ratio);
 
     Table tc({"status serving (n=339,557)", "ns/status", "vs uncached"});
     tc.add_row({"uncached: prove + encode", Table::num(status_cold_ns, 0),
                 "1.0x"});
     tc.add_row({"warm cache: lookup + memcpy", Table::num(status_warm_ns, 0),
                 Table::num(status_speedup, 1) + "x"});
-    std::printf("\n== status cache (working set %zu serials) ==\n%s",
-                kWorkingSet, tc.render().c_str());
+    std::printf("\n== status cache (working set %zu serials, median of %d "
+                "trials) ==\n%s",
+                kWorkingSet, kTrials, tc.render().c_str());
   }
 
   // --- multi-CA handshakes, cold vs warm cache: every handshake carries a
@@ -363,9 +393,23 @@ int main() {
     }
     delta_batches.push_back(std::move(batch));
   }
-  const auto inc = bench_dict_updates(delta_batches, kDictBase, false);
-  const auto full = bench_dict_updates(delta_batches, kDictBase, true);
-  const double speedup = full.ns_per_entry / inc.ns_per_entry;
+  // Per trial the incremental and the full-rebuild runs go back to back;
+  // the table shows the median-speedup trial's pair (hash counts are the
+  // same in every trial).
+  std::vector<DictUpdateResult> incs, fulls;
+  Summary dict_ratio;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    incs.push_back(bench_dict_updates(delta_batches, kDictBase, false));
+    fulls.push_back(bench_dict_updates(delta_batches, kDictBase, true));
+    dict_ratio.add(fulls.back().ns_per_entry / incs.back().ns_per_entry);
+  }
+  const double speedup = dict_ratio.median();
+  const double speedup_mad = mad(dict_ratio);
+  const auto& ratios = dict_ratio.samples();
+  const auto median_trial =
+      std::find(ratios.begin(), ratios.end(), speedup) - ratios.begin();
+  const DictUpdateResult& inc = incs[median_trial];
+  const DictUpdateResult& full = fulls[median_trial];
 
   Table td({"dictionary maintenance", "entries/s", "ns/entry", "SHA-256 ops"});
   td.add_row({"incremental (dirty-range)", Table::num(inc.entries_per_sec, 0),
@@ -375,7 +419,8 @@ int main() {
   std::printf("\n== dictionary Δ-batch updates (n=%llu, %zu x %zu) ==\n%s",
               (unsigned long long)kDictBase, kDictBatches, kDictBatchSize,
               td.render().c_str());
-  std::printf("\nincremental speedup: %.1fx\n", speedup);
+  std::printf("\nincremental speedup: %.1fx (median of %d trials, MAD %.1f)\n",
+              speedup, kTrials, speedup_mad);
 
   // --- SHA-256 engine: ns/hash per backend on 64-input batches of
   // interior-node-sized (41-byte) messages — the exact shape the rebuild
@@ -480,7 +525,7 @@ int main() {
     kRecEntries = 2 * kRecTailPeriods * kRecBatch;
   }
   double recovery_replay_ms = 0, recovery_recover_ms = 0;
-  double recovery_speedup = 0;
+  double recovery_speedup = 0, recovery_speedup_mad = 0;
   double recovery_rehash_restore_ms = 0, recovery_v2_restore_ms = 0;
   double recovery_mmap_speedup = 0;
   std::uint64_t recovery_periods = 0;
@@ -530,37 +575,54 @@ int main() {
     dur.pull_up_to(recovery_periods - 1, from_seconds(now_s));
     dur_store.wal()->sync();  // the crash point
 
-    // Restart A: snapshot + WAL tail.
-    ra::DictionaryStore rec_store;
-    rec_store.register_ca(rca.id(), rca.public_key(), kDelta);
-    ra::RaUpdater rec({.location = here}, &rec_store, &rcdn_rpc.rpc);
-    auto start = std::chrono::steady_clock::now();
-    const auto report = rec.recover(dir);
-    recovery_recover_ms = ms_of(std::chrono::steady_clock::now() - start);
+    // Each trial restarts two fresh RAs: A from the snapshot + WAL tail, B
+    // cold, replaying the full feed. The last trial's pair stays for the
+    // sections below.
+    std::unique_ptr<ra::DictionaryStore> rec_store, cold_store;
+    std::unique_ptr<ra::RaUpdater> rec, cold;
+    const auto fresh_ra = [&](std::unique_ptr<ra::DictionaryStore>& store,
+                              std::unique_ptr<ra::RaUpdater>& updater) {
+      updater.reset();
+      store = std::make_unique<ra::DictionaryStore>();
+      store->register_ca(rca.id(), rca.public_key(), kDelta);
+      updater = std::make_unique<ra::RaUpdater>(
+          ra::RaUpdater::Config{.location = here}, store.get(),
+          &rcdn_rpc.rpc);
+    };
+    Summary recover_ms, replay_ms, ratio;
+    bool equal = true;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      fresh_ra(rec_store, rec);
+      auto start = std::chrono::steady_clock::now();
+      const auto report = rec->recover(dir);
+      recover_ms.add(ms_of(std::chrono::steady_clock::now() - start));
 
-    // Restart B: cold RA replaying the full feed.
-    ra::DictionaryStore cold_store;
-    cold_store.register_ca(rca.id(), rca.public_key(), kDelta);
-    ra::RaUpdater cold({.location = here}, &cold_store, &rcdn_rpc.rpc);
-    start = std::chrono::steady_clock::now();
-    cold.pull_up_to(recovery_periods - 1, from_seconds(now_s));
-    recovery_replay_ms = ms_of(std::chrono::steady_clock::now() - start);
-    recovery_speedup = recovery_replay_ms / recovery_recover_ms;
+      fresh_ra(cold_store, cold);
+      start = std::chrono::steady_clock::now();
+      cold->pull_up_to(recovery_periods - 1, from_seconds(now_s));
+      replay_ms.add(ms_of(std::chrono::steady_clock::now() - start));
+      ratio.add(replay_ms.samples().back() / recover_ms.samples().back());
 
-    const bool equal =
-        report.ok && rec_store.have_n(rca.id()) == kRecEntries &&
-        cold_store.have_n(rca.id()) == kRecEntries &&
-        rec_store.root_of(rca.id())->encode() ==
-            cold_store.root_of(rca.id())->encode() &&
-        rec.next_period() == recovery_periods;
+      equal = equal && report.ok &&
+              rec_store->have_n(rca.id()) == kRecEntries &&
+              cold_store->have_n(rca.id()) == kRecEntries &&
+              rec_store->root_of(rca.id())->encode() ==
+                  cold_store->root_of(rca.id())->encode() &&
+              rec->next_period() == recovery_periods;
+    }
+    recovery_recover_ms = recover_ms.median();
+    recovery_replay_ms = replay_ms.median();
+    recovery_speedup = ratio.median();
+    recovery_speedup_mad = mad(ratio);
     std::printf("\n== recovery (n=%llu over %llu periods, %llu-period WAL "
                 "tail) ==\n",
                 (unsigned long long)kRecEntries,
                 (unsigned long long)recovery_periods,
                 (unsigned long long)kRecTailPeriods);
     std::printf("full feed replay: %.1f ms; snapshot+WAL restart: %.1f ms "
-                "(%.1fx); states %s\n",
+                "(%.1fx, median of %d trials, MAD %.2f); states %s\n",
                 recovery_replay_ms, recovery_recover_ms, recovery_speedup,
+                kTrials, recovery_speedup_mad,
                 equal ? "identical" : "DIVERGED!");
     if (!equal) return 1;
 
@@ -571,14 +633,14 @@ int main() {
     // arenas in place.
     const std::string dir_snap = "persist-bench-snap";
     std::filesystem::remove_all(dir_snap);
-    cold_store.persist_to(dir_snap);
+    cold_store->persist_to(dir_snap);
     const ca::ColdStartObject cold_obj =
         rca.cold_start_object(recovery_periods - 1, now_s);
     bool restore_equal = false;
     {
       ra::DictionaryStore rehash_store;
       rehash_store.register_ca(rca.id(), rca.public_key(), kDelta);
-      start = std::chrono::steady_clock::now();
+      auto start = std::chrono::steady_clock::now();
       const auto rehash_result = rehash_store.bootstrap_replica(
           rca.id(), ByteSpan(cold_obj.dict_snapshot), cold_obj.signed_root,
           cold_obj.freshness, now_s);
@@ -609,15 +671,15 @@ int main() {
     // while feed pulls keep mutating it. The stall a cycle imposes on the
     // mutation path is its freeze window (the O(#CAs) arena-sharing copy),
     // not the off-lock file write of the full snapshot.
-    rec.start_checkpoints(0.001);
+    rec->start_checkpoints(0.001);
     std::uint64_t extra = 0;
-    while (rec.checkpoint_stats().checkpoints < 3 && extra < 300) {
+    while (rec->checkpoint_stats().checkpoints < 3 && extra < 300) {
       ++extra;
       publish_batches(kRecEntries + extra * kRecBatch);
-      rec.pull_up_to(dp.next_period() - 1, from_seconds(now_s));
+      rec->pull_up_to(dp.next_period() - 1, from_seconds(now_s));
     }
-    rec.stop_checkpoints();
-    const auto cs = rec.checkpoint_stats();
+    rec->stop_checkpoints();
+    const auto cs = rec->checkpoint_stats();
     checkpoint_cycles = cs.checkpoints;
     checkpoint_max_stall_us = double(cs.max_stall_us);
     checkpoint_stall_us =
@@ -642,7 +704,8 @@ int main() {
   // the epoll server; the batch method amortizes framing + syscalls over
   // kSvcBatch serials per envelope, fanned out over the status-byte cache.
   constexpr std::size_t kSvcBatch = 256;
-  double svc_single_rps = 0, svc_batch_rps = 0, svc_batch_speedup = 0;
+  double svc_single_rps = 0, svc_batch_rps = 0;
+  double svc_batch_speedup = 0, svc_batch_speedup_mad = 0;
   double svc_inproc_single_rps = 0;
   {
     constexpr std::size_t kWorkingSet = 512;
@@ -676,30 +739,40 @@ int main() {
       return rate_per_sec(ops, std::chrono::steady_clock::now() - start);
     };
 
+    const auto run_batch = [&](std::size_t ops) {
+      std::vector<cert::SerialNumber> batch(kSvcBatch);
+      const auto start = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < ops; ++i) {
+        for (std::size_t j = 0; j < kSvcBatch; ++j) {
+          batch[j] = probes[(i * kSvcBatch + j) % kWorkingSet];
+        }
+        svc::Request req;
+        req.method = svc::Method::status_batch;
+        req.body = ra::encode_status_batch(ca.id(), batch);
+        const auto r = tcp.call(req);
+        if (!r.ok()) {
+          std::printf("svc batch query failed: %s\n",
+                      svc::to_string(r.response.status));
+          std::exit(1);
+        }
+      }
+      return rate_per_sec(ops * kSvcBatch,
+                          std::chrono::steady_clock::now() - start);
+    };
+
     // Warm the status cache + the connection, then measure.
     run_single(tcp, kWorkingSet);
-    svc_single_rps = run_single(tcp, kSingleOps);
-    svc_inproc_single_rps = run_single(inproc, kSingleOps);
-
-    std::vector<cert::SerialNumber> batch(kSvcBatch);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < kBatchOps; ++i) {
-      for (std::size_t j = 0; j < kSvcBatch; ++j) {
-        batch[j] = probes[(i * kSvcBatch + j) % kWorkingSet];
-      }
-      svc::Request req;
-      req.method = svc::Method::status_batch;
-      req.body = ra::encode_status_batch(ca.id(), batch);
-      const auto r = tcp.call(req);
-      if (!r.ok()) {
-        std::printf("svc batch query failed: %s\n",
-                    svc::to_string(r.response.status));
-        return 1;
-      }
+    Summary single, batched, ratio;
+    for (int trial = 0; trial < kTrials; ++trial) {
+      single.add(run_single(tcp, kSingleOps));
+      batched.add(run_batch(kBatchOps));
+      ratio.add(batched.samples().back() / single.samples().back());
     }
-    svc_batch_rps = rate_per_sec(kBatchOps * kSvcBatch,
-                                 std::chrono::steady_clock::now() - start);
-    svc_batch_speedup = svc_batch_rps / svc_single_rps;
+    svc_single_rps = single.median();
+    svc_batch_rps = batched.median();
+    svc_batch_speedup = ratio.median();
+    svc_batch_speedup_mad = mad(ratio);
+    svc_inproc_single_rps = run_single(inproc, kSingleOps);
 
     Table ts({"svc status over loopback TCP", "serials/s", "vs single"});
     ts.add_row({"single-serial envelopes", Table::num(svc_single_rps, 0),
@@ -707,8 +780,9 @@ int main() {
     ts.add_row({"batched x" + std::to_string(kSvcBatch),
                 Table::num(svc_batch_rps, 0),
                 Table::num(svc_batch_speedup, 1) + "x"});
-    std::printf("\n== service envelope (n=339,557 dictionary) ==\n%s",
-                ts.render().c_str());
+    std::printf("\n== service envelope (n=339,557 dictionary, median of %d "
+                "trials) ==\n%s",
+                kTrials, ts.render().c_str());
     std::printf("in-process single RPS: %.0f; server: %llu requests, "
                 "%llu serials served\n",
                 svc_inproc_single_rps,
@@ -1098,7 +1172,8 @@ int main() {
                  "  \"status_cache\": {\n"
                  "    \"uncached_ns_per_status\": %.1f,\n"
                  "    \"warm_ns_per_status\": %.1f,\n"
-                 "    \"speedup\": %.1f\n"
+                 "    \"speedup\": %.1f,\n"
+                 "    \"speedup_mad\": %.2f\n"
                  "  },\n"
                  "  \"multi_ca_handshakes\": {\n"
                  "    \"cas\": %zu,\n"
@@ -1116,7 +1191,8 @@ int main() {
                  "\"ns_per_entry\": %.1f, \"sha256_ops\": %llu},\n"
                  "    \"full_rebuild\": {\"entries_per_sec\": %.0f, "
                  "\"ns_per_entry\": %.1f, \"sha256_ops\": %llu},\n"
-                 "    \"speedup\": %.2f\n"
+                 "    \"speedup\": %.2f,\n"
+                 "    \"speedup_mad\": %.2f\n"
                  "  },\n"
                  "  \"sha256_engine\": {\n"
                  "    \"active\": \"%s\",\n"
@@ -1135,6 +1211,7 @@ int main() {
                  "    \"full_replay_ms\": %.1f,\n"
                  "    \"snapshot_wal_ms\": %.1f,\n"
                  "    \"speedup\": %.2f,\n"
+                 "    \"speedup_mad\": %.2f,\n"
                  "    \"rehash_restore_ms\": %.1f,\n"
                  "    \"v2_restore_ms\": %.1f,\n"
                  "    \"mmap_speedup\": %.2f\n"
@@ -1151,6 +1228,7 @@ int main() {
                  "    \"tcp_batch_rps\": %.0f,\n"
                  "    \"inproc_single_rps\": %.0f,\n"
                  "    \"batch_speedup\": %.2f,\n"
+                 "    \"batch_speedup_mad\": %.2f,\n"
                  "    \"multicore_scaling\": {\n"
                  "      \"cores\": %u,\n"
                  "      \"rps_1\": %.0f,\n"
@@ -1180,7 +1258,8 @@ int main() {
                  "    \"bytes_ratio\": %.4f\n"
                  "  },\n",
                  non_tls_rate, handshake_rate, validation_rate,
-                 status_cold_ns, status_warm_ns, status_speedup, kCas,
+                 status_cold_ns, status_warm_ns, status_speedup,
+                 status_speedup_mad, kCas,
                  (unsigned long long)kEntriesPerCa, multi_cold_rate,
                  multi_warm_rate, multi_hit_rate,
                  (unsigned long long)multi_invalidations,
@@ -1188,19 +1267,19 @@ int main() {
                  inc.entries_per_sec, inc.ns_per_entry,
                  (unsigned long long)inc.hashes, full.entries_per_sec,
                  full.ns_per_entry, (unsigned long long)full.hashes, speedup,
-                 engine_active, engine_backends_json.c_str(),
+                 speedup_mad, engine_active, engine_backends_json.c_str(),
                  engine_batch_speedup, rebuild_scalar_ms, rebuild_engine_ms,
                  rebuild_speedup, (unsigned long long)kRecEntries,
                  (unsigned long long)recovery_periods,
                  (unsigned long long)kRecTailPeriods, recovery_replay_ms,
-                 recovery_recover_ms, recovery_speedup,
+                 recovery_recover_ms, recovery_speedup, recovery_speedup_mad,
                  recovery_rehash_restore_ms, recovery_v2_restore_ms,
                  recovery_mmap_speedup,
                  (unsigned long long)checkpoint_cycles, checkpoint_stall_us,
                  checkpoint_max_stall_us,
                  (unsigned long long)checkpoint_snapshot_bytes, kSvcBatch,
                  svc_single_rps, svc_batch_rps, svc_inproc_single_rps,
-                 svc_batch_speedup, mc_cores, mc_rps[0], mc_rps[1],
+                 svc_batch_speedup, svc_batch_speedup_mad, mc_cores, mc_rps[0], mc_rps[1],
                  mc_rps[2], mc_rps[3], mc_factor_at_2, mc_factor_at_4,
                  kResBatch, kResFlooders,
                  res_baseline_rps, res_quota_rps, res_noquota_rps,

@@ -111,19 +111,6 @@ dict::RevocationStatus CertificationAuthority::status_for(
   return status;
 }
 
-Bytes CertificationAuthority::manifest() const {
-  ByteWriter w;
-  w.raw(bytes_of("RITM-MANIFEST-v1"));
-  w.var8(bytes_of(config_.id));
-  w.u64(static_cast<std::uint64_t>(config_.delta));
-  w.u64(dict_.size());
-  Bytes body = w.take();
-  const crypto::Signature sig =
-      crypto::sign(ByteSpan(body), keypair_.seed, keypair_.public_key);
-  append(body, ByteSpan(sig.data(), sig.size()));
-  return body;
-}
-
 ColdStartObject CertificationAuthority::cold_start_object(
     std::uint64_t upto_period, UnixSeconds now) const {
   ColdStartObject obj;

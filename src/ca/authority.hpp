@@ -78,10 +78,6 @@ class CertificationAuthority {
   dict::RevocationStatus status_for(const cert::SerialNumber& serial,
                                     UnixSeconds now) const;
 
-  /// Signed manifest for bootstrapping (§VIII "/RITM.json"): advertises the
-  /// CA's ∆ and dictionary size, signed with the CA key.
-  Bytes manifest() const;
-
   /// Builds the CDN cold-start object (§VIII, PR 4): the full dictionary
   /// snapshot under the current signed root plus the freshness statement
   /// for `now`, covering feed periods up to and including `upto_period`.

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -23,9 +22,6 @@ class Rng {
 
   /// Uniform in [0, bound) without modulo bias. bound must be > 0.
   std::uint64_t uniform(std::uint64_t bound) noexcept;
-
-  /// Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
   double uniform01() noexcept;
@@ -48,16 +44,6 @@ class Rng {
 
   /// Derives an independent child stream (for per-node RNGs).
   Rng fork() noexcept;
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(uniform(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
   /// Zipf-like sample in [0, n): rank r chosen with weight 1/(r+1)^s.
   /// Used by the population model (city sizes are Zipf-distributed).

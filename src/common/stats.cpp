@@ -11,11 +11,6 @@ void Summary::add(double x) {
   sorted_valid_ = false;
 }
 
-void Summary::add_all(const std::vector<double>& xs) {
-  samples_.insert(samples_.end(), xs.begin(), xs.end());
-  sorted_valid_ = false;
-}
-
 void Summary::ensure_sorted() const {
   if (!sorted_valid_) {
     sorted_ = samples_;
@@ -89,33 +84,6 @@ std::vector<std::pair<double, double>> Summary::cdf_curve(
     curve.emplace_back(x, cdf_at(x));
   }
   return curve;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: bad range or zero bins");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                          static_cast<double>(counts_.size()));
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-         static_cast<double>(counts_.size());
 }
 
 }  // namespace ritm

@@ -1,5 +1,5 @@
 // Small statistics toolkit for the evaluation harness: summary statistics,
-// empirical CDFs (Fig. 5 of the paper is a CDF plot), and histograms.
+// empirical CDFs (Fig. 5 of the paper is a CDF plot).
 #pragma once
 
 #include <cstddef>
@@ -12,7 +12,6 @@ namespace ritm {
 class Summary {
  public:
   void add(double x);
-  void add_all(const std::vector<double>& xs);
 
   std::size_t count() const noexcept { return samples_.size(); }
   double min() const;
@@ -37,24 +36,6 @@ class Summary {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double bin_low(std::size_t i) const;
-  std::size_t total() const noexcept { return total_; }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0, underflow_ = 0, overflow_ = 0;
 };
 
 }  // namespace ritm

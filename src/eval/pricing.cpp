@@ -76,10 +76,6 @@ void PricingModel::set_region(const std::string& region,
   request_fees_[region] = usd_per_10k_requests;
 }
 
-bool PricingModel::has_region(const std::string& region) const {
-  return tiers_.count(region) != 0;
-}
-
 double PricingModel::transfer_cost(const std::string& region,
                                    double gigabytes) const {
   const auto it = tiers_.find(region);

@@ -32,8 +32,6 @@ class PricingModel {
   double request_cost(const std::string& region,
                       std::uint64_t requests) const;
 
-  bool has_region(const std::string& region) const;
-
   void set_region(const std::string& region, std::vector<Tier> tiers,
                   double usd_per_10k_requests);
 

@@ -78,7 +78,6 @@ class WriteAheadLog {
   /// std::runtime_error on I/O failure.
   WalScan open(const std::string& path, Options opts = {});
 
-  bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& path() const noexcept { return path_; }
 
   /// Appends one record and returns its sequence number. fsyncs when the

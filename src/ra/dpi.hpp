@@ -4,7 +4,7 @@
 // upstream RA (the multiple-RA rule of §VIII).
 //
 // Table III of the paper times these two operations separately:
-// "TLS detection (DPI)" — classify() on arbitrary payloads — and
+// "TLS detection (DPI)" — is_tls() on arbitrary payloads — and
 // "Certificates parsing (DPI)" — extracting the chain from a server flight.
 #pragma once
 

@@ -246,26 +246,13 @@ svc::ServeResult RaService::handle(const svc::Request& req) {
       break;
   }
   if (out.response.status != svc::Status::ok) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.rejected;
   }
   return out;
 }
 
-RaService::Stats RaService::stats() const noexcept {
-  Stats s;
-  s.single_queries = stats_.single_queries.load(std::memory_order_relaxed);
-  s.batch_queries = stats_.batch_queries.load(std::memory_order_relaxed);
-  s.serials_served = stats_.serials_served.load(std::memory_order_relaxed);
-  s.gossip_exchanges =
-      stats_.gossip_exchanges.load(std::memory_order_relaxed);
-  s.gossip_digests = stats_.gossip_digests.load(std::memory_order_relaxed);
-  s.gossip_pulls = stats_.gossip_pulls.load(std::memory_order_relaxed);
-  s.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  return s;
-}
-
 svc::Response RaService::status_query(const svc::Request& req) {
-  stats_.single_queries.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.single_queries;
   ByteReader r(ByteSpan(req.body));
   const auto ca_bytes = r.try_var8();
   const auto serial_bytes = r.try_var8();
@@ -281,12 +268,12 @@ svc::Response RaService::status_query(const svc::Request& req) {
   svc::Response resp;
   resp.request_id = req.request_id;
   resp.body = *cached->bytes;
-  stats_.serials_served.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.serials_served;
   return resp;
 }
 
 svc::Response RaService::status_batch(const svc::Request& req) {
-  stats_.batch_queries.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.batch_queries;
   ByteReader r(ByteSpan(req.body));
   const auto ca_bytes = r.try_var8();
   const auto count = r.try_u32();
@@ -317,12 +304,12 @@ svc::Response RaService::status_batch(const svc::Request& req) {
     w.var24(ByteSpan(*cached->bytes));
   }
   if (!r.done()) return svc::reject(req, svc::Status::malformed);
-  stats_.serials_served.fetch_add(*count, std::memory_order_relaxed);
+  stats_.serials_served += *count;
   return resp;
 }
 
 svc::Response RaService::gossip_roots(const svc::Request& req) {
-  stats_.gossip_exchanges.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.gossip_exchanges;
   if (gossip_ == nullptr) return svc::reject(req, svc::Status::unavailable);
   ByteReader r(ByteSpan(req.body));
   const auto count = r.try_u32();
@@ -356,7 +343,7 @@ svc::Response RaService::gossip_roots(const svc::Request& req) {
 }
 
 svc::Response RaService::gossip_digest(const svc::Request& req) {
-  stats_.gossip_digests.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.gossip_digests;
   if (gossip_ == nullptr) return svc::reject(req, svc::Status::unavailable);
   // The caller's digest rides the request so a future server could diff it
   // proactively; today we only validate it and answer with our own.
@@ -371,7 +358,7 @@ svc::Response RaService::gossip_digest(const svc::Request& req) {
 }
 
 svc::Response RaService::gossip_pull(const svc::Request& req) {
-  stats_.gossip_pulls.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.gossip_pulls;
   if (gossip_ == nullptr) return svc::reject(req, svc::Status::unavailable);
   const auto pull = decode_gossip_pull(ByteSpan(req.body));
   if (!pull) return svc::reject(req, svc::Status::malformed);

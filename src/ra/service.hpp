@@ -10,11 +10,11 @@
 // once per serial (`svc_status.batch_speedup` in BENCH_throughput.json).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
+#include "common/counter.hpp"
 #include "ra/gossip.hpp"
 #include "ra/store.hpp"
 #include "svc/service.hpp"
@@ -90,16 +90,16 @@ class RaService final : public svc::Service {
   svc::ServeResult handle(const svc::Request& req) override;
 
   struct Stats {
-    std::uint64_t single_queries = 0;
-    std::uint64_t batch_queries = 0;
-    std::uint64_t serials_served = 0;
-    std::uint64_t gossip_exchanges = 0;
-    std::uint64_t gossip_digests = 0;  // digest swaps answered
-    std::uint64_t gossip_pulls = 0;    // pull requests answered
-    std::uint64_t rejected = 0;  // non-ok responses
+    Counter single_queries;
+    Counter batch_queries;
+    Counter serials_served;
+    Counter gossip_exchanges;
+    Counter gossip_digests;  // digest swaps answered
+    Counter gossip_pulls;    // pull requests answered
+    Counter rejected;        // non-ok responses
   };
   /// Snapshot of the counters (coherent per field under concurrency).
-  Stats stats() const noexcept;
+  Stats stats() const noexcept { return stats_; }
 
  private:
   svc::Response status_query(const svc::Request& req);
@@ -110,16 +110,7 @@ class RaService final : public svc::Service {
 
   const DictionaryStore* store_;
   GossipPool* gossip_;
-  struct AtomicStats {
-    std::atomic<std::uint64_t> single_queries{0};
-    std::atomic<std::uint64_t> batch_queries{0};
-    std::atomic<std::uint64_t> serials_served{0};
-    std::atomic<std::uint64_t> gossip_exchanges{0};
-    std::atomic<std::uint64_t> gossip_digests{0};
-    std::atomic<std::uint64_t> gossip_pulls{0};
-    std::atomic<std::uint64_t> rejected{0};
-  };
-  AtomicStats stats_;
+  Stats stats_;
   std::mutex gossip_mu_;
 };
 

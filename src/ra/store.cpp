@@ -248,8 +248,8 @@ void DictionaryStore::evict_for(CaState::CacheShard& shard,
     const std::size_t freed =
         key->size() + it->second.bytes->size() + kCacheEntryOverhead;
     shard.bytes -= freed;
-    cache_stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    cache_stats_.evicted_bytes.fetch_add(freed, std::memory_order_relaxed);
+    ++cache_stats_.evictions;
+    cache_stats_.evicted_bytes += freed;
     // Swap-remove the slot; the moved slot takes over the hand position and
     // gets examined next, which preserves the sweep.
     ring[shard.hand] = ring.back();
@@ -291,7 +291,7 @@ std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
       shard.ring.clear();
       shard.hand = 0;
       shard.bytes = 0;
-      cache_stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
+      ++cache_stats_.invalidations;
     }
     shard.epoch = epoch;
     shard.freshness_seq = state->freshness_seq;
@@ -299,7 +299,7 @@ std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
 
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    cache_stats_.misses.fetch_add(1, std::memory_order_relaxed);
+    ++cache_stats_.misses;
     const dict::RevocationStatus status = assemble_status(*state, serial);
     auto encoded = std::make_shared<Bytes>();
     encoded->reserve(status.wire_size());
@@ -317,7 +317,7 @@ std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
     shard.ring.push_back(&it->first);
     shard.bytes += need;
   } else {
-    cache_stats_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++cache_stats_.hits;
     // Keep hot serials warm across evictions; test-before-set so steady-
     // state hits never dirty the entry's cache line.
     if (!it->second.ref) it->second.ref = true;
@@ -329,18 +329,6 @@ std::optional<DictionaryStore::CachedStatus> DictionaryStore::status_bytes_for(
   out.timestamp = state->root.timestamp;
   out.epoch = epoch;
   return out;
-}
-
-DictionaryStore::CacheStats DictionaryStore::cache_stats() const noexcept {
-  CacheStats s;
-  s.hits = cache_stats_.hits.load(std::memory_order_relaxed);
-  s.misses = cache_stats_.misses.load(std::memory_order_relaxed);
-  s.invalidations =
-      cache_stats_.invalidations.load(std::memory_order_relaxed);
-  s.evictions = cache_stats_.evictions.load(std::memory_order_relaxed);
-  s.evicted_bytes =
-      cache_stats_.evicted_bytes.load(std::memory_order_relaxed);
-  return s;
 }
 
 std::uint64_t DictionaryStore::have_n(const cert::CaId& ca) const {

@@ -56,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counter.hpp"
 #include "crypto/hash_chain.hpp"
 #include "dict/dictionary.hpp"
 #include "dict/messages.hpp"
@@ -131,11 +132,11 @@ class DictionaryStore {
   };
 
   struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;          // lookups that had to prove + encode
-    std::uint64_t invalidations = 0;   // wholesale drops on version change
-    std::uint64_t evictions = 0;       // single entries evicted by CLOCK
-    std::uint64_t evicted_bytes = 0;   // bytes reclaimed by those evictions
+    Counter hits;
+    Counter misses;         // lookups that had to prove + encode
+    Counter invalidations;  // wholesale drops on version change
+    Counter evictions;      // single entries evicted by CLOCK
+    Counter evicted_bytes;  // bytes reclaimed by those evictions
   };
 
   /// Default per-CA status-cache byte budget. Serials are read off observed
@@ -172,9 +173,9 @@ class DictionaryStore {
   std::optional<CachedStatus> status_bytes_for(
       const cert::CaId& ca, const cert::SerialNumber& serial) const;
 
-  /// Snapshot of the cache counters (atomics, coherent per field; one
-  /// field can lead another by an in-flight lookup under concurrency).
-  CacheStats cache_stats() const noexcept;
+  /// Snapshot of the cache counters (coherent per field; one field can
+  /// lead another by an in-flight lookup under concurrency).
+  CacheStats cache_stats() const noexcept { return cache_stats_; }
 
   /// Number of consecutive revocations held for `ca` (the sync cursor).
   std::uint64_t have_n(const cert::CaId& ca) const;
@@ -390,18 +391,8 @@ class DictionaryStore {
   /// leaving the store untouched.
   void restore_snapshot(const persist::SnapshotFile::Mapped& mapped);
 
-  /// Relaxed atomics: serving threads bump these concurrently; cache_stats()
-  /// snapshots them into the plain CacheStats struct.
-  struct AtomicCacheStats {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> invalidations{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> evicted_bytes{0};
-  };
-
   std::map<cert::CaId, CaState> cas_;
-  mutable AtomicCacheStats cache_stats_;
+  mutable CacheStats cache_stats_;  // bumped by concurrent const lookups
   std::atomic<std::size_t> status_cache_budget_{kStatusCacheDefaultBudget};
   persist::WriteAheadLog* wal_ = nullptr;
   std::uint64_t mutation_seq_ = 0;

@@ -76,9 +76,9 @@ enum class Method : std::uint16_t {
   /// Set-reconciliation gossip, step 1 of 2 (digest swap): the caller's
   /// compact seen-set summary — per CA, segment-aligned runs of contiguous
   /// root sizes with a hash over each run — answered with the peer's own
-  /// digest in the same shape. Body layouts in ra/service.hpp. Peers that
-  /// predate this method answer unknown_method, which callers treat as
-  /// "fall back to the gossip_roots full exchange".
+  /// digest in the same shape. Body layouts in ra/service.hpp. A peer that
+  /// answers unknown_method fails the reconciliation; there is no fallback
+  /// to the gossip_roots full exchange.
   gossip_digest = 6,
   /// Set-reconciliation gossip, step 2 of 2 (pull-only-missing): want-ranges
   /// diffed from the peer's digest plus the roots the peer was diffed to be

@@ -171,22 +171,21 @@ void TcpServer::stop() {
 TcpServer::Stats TcpServer::stats() const {
   Stats s;
   for (const auto& r : reactors_) {
-    const Counters& c = r->counters;
-    s.accepted += c.accepted.load(std::memory_order_acquire);
-    s.shed_over_limit += c.shed_over_limit.load(std::memory_order_acquire);
-    s.requests += c.requests.load(std::memory_order_acquire);
-    s.fatal_frames += c.fatal_frames.load(std::memory_order_acquire);
-    s.backpressure_pauses +=
-        c.backpressure_pauses.load(std::memory_order_acquire);
-    s.throttled += c.throttled.load(std::memory_order_acquire);
-    s.idle_closed += c.idle_closed.load(std::memory_order_acquire);
-    s.bytes_in += c.bytes_in.load(std::memory_order_acquire);
-    s.bytes_out += c.bytes_out.load(std::memory_order_acquire);
+    const Stats& c = r->stats;
+    s.accepted += c.accepted;
+    s.shed_over_limit += c.shed_over_limit;
+    s.requests += c.requests;
+    s.fatal_frames += c.fatal_frames;
+    s.backpressure_pauses += c.backpressure_pauses;
+    s.throttled += c.throttled;
+    s.idle_closed += c.idle_closed;
+    s.bytes_in += c.bytes_in;
+    s.bytes_out += c.bytes_out;
   }
   return s;
 }
 
-bool TcpServer::admit(int fd, Counters& ctrs) {
+bool TcpServer::admit(int fd, Stats& stats) {
   // Atomic admission: reserve a slot first; losing racers release it and
   // shed. The cap is exact across reactors with no lock on the path.
   const std::size_t prev =
@@ -197,7 +196,7 @@ bool TcpServer::admit(int fd, Counters& ctrs) {
   // a clean protocol-level refusal instead of a RST. Counted before the
   // write so the stat is visible by the time a peer can observe the
   // refusal.
-  ctrs.shed_over_limit.fetch_add(1, std::memory_order_release);
+  ++stats.shed_over_limit;
   Response shed;
   shed.version = service_->version();
   shed.status = Status::overloaded;
@@ -218,7 +217,7 @@ void TcpServer::adopt(Reactor& r, int fd) {
   ev.events = EPOLLIN;
   ev.data.fd = fd;
   epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-  r.counters.accepted.fetch_add(1, std::memory_order_release);
+  ++r.stats.accepted;
 }
 
 void TcpServer::acceptor_loop() {
@@ -235,7 +234,7 @@ void TcpServer::acceptor_loop() {
       const int fd = accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) break;
-      if (!admit(fd, reactors_.front()->counters)) continue;
+      if (!admit(fd, reactors_.front()->stats)) continue;
       Reactor& r = *reactors_[next_reactor_.fetch_add(
                                   1, std::memory_order_relaxed) %
                               reactors_.size()];
@@ -323,7 +322,7 @@ int TcpServer::sweep(Reactor& r, std::uint64_t now_ms) {
   for (int fd : idle) {
     // Counted before the close so the stat is visible by the time the peer
     // can observe its EOF.
-    r.counters.idle_closed.fetch_add(1, std::memory_order_release);
+    ++r.stats.idle_closed;
     close_connection(r, fd);
   }
   return timeout;
@@ -343,8 +342,7 @@ bool TcpServer::read_ready(Reactor& r, int fd, Connection& c) {
       return false;
     }
     c.in.insert(c.in.end(), buf, buf + n);
-    r.counters.bytes_in.fetch_add(std::uint64_t(n),
-                                  std::memory_order_release);
+    r.stats.bytes_in += std::uint64_t(n);
     if (c.in.size() > sizeof(buf)) break;  // give other fds a turn
   }
 
@@ -406,7 +404,7 @@ bool TcpServer::dispatch(Reactor& r, Connection& c) {
           c.throttled = true;
           c.throttled_until_ms = std::max(c.throttled_until_ms,
                                           now + std::uint64_t(wait_ms));
-          r.counters.throttled.fetch_add(1, std::memory_order_release);
+          ++r.stats.throttled;
           continue;
         }
         c.req_tokens -= 1.0;
@@ -419,10 +417,10 @@ bool TcpServer::dispatch(Reactor& r, Connection& c) {
     c.out_bytes += reply.frame.size();
     c.outq.push_back(std::move(reply.frame));
     if (reply.fatal) {
-      r.counters.fatal_frames.fetch_add(1, std::memory_order_release);
+      ++r.stats.fatal_frames;
       c.close_after_flush = true;
     } else {
-      r.counters.requests.fetch_add(1, std::memory_order_release);
+      ++r.stats.requests;
     }
   }
   if (offset > 0) c.in.erase(c.in.begin(), c.in.begin() + offset);
@@ -451,8 +449,7 @@ bool TcpServer::flush(Reactor& r, int fd, Connection& c) {
       return false;
     }
     c.out_bytes -= std::size_t(n);
-    r.counters.bytes_out.fetch_add(std::uint64_t(n),
-                                   std::memory_order_release);
+    r.stats.bytes_out += std::uint64_t(n);
     // Retire fully written frames from the queue head.
     std::size_t written = std::size_t(n);
     while (written > 0) {
@@ -479,7 +476,7 @@ void TcpServer::update_interest(Reactor& r, int fd, Connection& c) {
   // being read until the kernel accepts its pending output.
   const bool want_pause = c.out_bytes > opts_.max_output_buffer;
   if (want_pause && !c.paused) {
-    r.counters.backpressure_pauses.fetch_add(1, std::memory_order_release);
+    ++r.stats.backpressure_pauses;
   }
   c.paused = want_pause;
   const bool read_on = !c.paused && !c.throttled;

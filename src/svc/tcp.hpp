@@ -33,7 +33,7 @@
 //     bucket refills
 //   * slow-loris guard: each reactor sweeps its own connections; one that
 //     goes `idle_timeout_ms` without completing a frame is closed
-//   * stats: per-reactor cache-line-aligned atomic counters, summed only
+//   * stats: per-reactor cache-line-aligned relaxed counters, summed only
 //     when stats() is read; connection_count() reads one atomic
 //   * fatal framing violations (bad CRC, oversized frame, garbage header)
 //     flush one error envelope and close the connection
@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/counter.hpp"
 #include "svc/transport.hpp"
 
 namespace ritm::svc {
@@ -88,15 +89,15 @@ struct TcpServerOptions {
 class TcpServer {
  public:
   struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t shed_over_limit = 0;  // connections refused at the cap
-    std::uint64_t requests = 0;         // frames dispatched to the service
-    std::uint64_t fatal_frames = 0;     // connections closed on bad framing
-    std::uint64_t backpressure_pauses = 0;
-    std::uint64_t throttled = 0;        // frames refused over quota
-    std::uint64_t idle_closed = 0;      // slow-loris timeouts
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
+    Counter accepted;
+    Counter shed_over_limit;  // connections refused at the cap
+    Counter requests;         // frames dispatched to the service
+    Counter fatal_frames;     // connections closed on bad framing
+    Counter backpressure_pauses;
+    Counter throttled;        // frames refused over quota
+    Counter idle_closed;      // slow-loris timeouts
+    Counter bytes_in;
+    Counter bytes_out;
   };
 
   /// Binds and listens on 127.0.0.1:`opts.port` and starts the reactor
@@ -144,38 +145,27 @@ class TcpServer {
     std::uint64_t throttled_until_ms = 0;
   };
 
-  /// Per-reactor counters, cache-line separated so reactors never share a
-  /// line on the request path. Relaxed increments; stats() sums them.
-  struct alignas(64) Counters {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> shed_over_limit{0};
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> fatal_frames{0};
-    std::atomic<std::uint64_t> backpressure_pauses{0};
-    std::atomic<std::uint64_t> throttled{0};
-    std::atomic<std::uint64_t> idle_closed{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-  };
-
   struct Reactor {
     unsigned index = 0;
     int epoll_fd = -1;
     int wake_fd = -1;
     std::thread thread;
     std::map<int, Connection> connections;  // reactor-thread private
-    Counters counters;
     // The acceptor pushes accepted fds here and signals wake_fd; the
     // reactor adopts them on its next wakeup.
     std::mutex handoff_mu;
     std::vector<int> handoff;
+    // Cache-line aligned and last, so the request path's counters share no
+    // line with the handoff fields the acceptor writes or with another
+    // reactor; stats() sums them.
+    alignas(64) Stats stats;
   };
 
   void reactor_loop(Reactor& r);
   void acceptor_loop();
   /// Admission (atomic cap check + shed) for a just-accepted fd; returns
-  /// false when the connection was shed. `ctrs` takes the counts.
-  bool admit(int fd, Counters& ctrs);
+  /// false when the connection was shed. `stats` takes the counts.
+  bool admit(int fd, Stats& stats);
   void adopt(Reactor& r, int fd);
   bool read_ready(Reactor& r, int fd, Connection& c);   // false = closed
   /// Alternates dispatch and flush until the output stays over the

@@ -1,25 +1,15 @@
-// Baseline-scheme tests: Tab. IV analytic profiles, concrete CRL/Delta-CRL
-// behaviour, OCSP responder + stapling, and the RevCast bandwidth bound.
+// Baseline-scheme tests: Tab. IV analytic profiles, the RevCast bandwidth
+// bound, and the CRLite filter cascade with its operational comparison.
 #include <gtest/gtest.h>
 
-#include "baseline/crl.hpp"
 #include "baseline/crlite.hpp"
-#include "baseline/ocsp.hpp"
 #include "baseline/schemes.hpp"
-#include "common/rng.hpp"
+#include "cert/certificate.hpp"
 
 namespace ritm::baseline {
 namespace {
 
 using cert::SerialNumber;
-
-crypto::KeyPair kp(std::uint64_t seed) {
-  Rng rng(seed);
-  crypto::Seed s{};
-  const Bytes b = rng.bytes(32);
-  std::copy(b.begin(), b.end(), s.begin());
-  return crypto::keypair_from_seed(s);
-}
 
 TEST(Schemes, TableIvRowCountAndOrder) {
   const auto rows = evaluate_all(Params{});
@@ -183,116 +173,6 @@ TEST(Crlite, StaplingWindowCappedByValidity) {
   const auto eager = stapling_operational(p, 3600.0);
   EXPECT_DOUBLE_EQ(eager.attack_window_seconds, 3600.0);
   EXPECT_GT(eager.refresh_bytes_per_day, lazy.refresh_bytes_per_day);
-}
-
-// ------------------------------------------------------------- CRL
-
-TEST(Crl, MakeVerifyAndQuery) {
-  const auto ca = kp(1);
-  std::vector<SerialNumber> revoked;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    revoked.push_back(SerialNumber::from_uint(i * 3 + 1));
-  }
-  const auto crl = Crl::make("CA-1", 1000, 1000 + 86400, revoked, ca.seed);
-  EXPECT_TRUE(crl.verify(ca.public_key));
-  EXPECT_TRUE(crl.is_revoked(SerialNumber::from_uint(4)));
-  EXPECT_FALSE(crl.is_revoked(SerialNumber::from_uint(5)));
-  EXPECT_TRUE(crl.is_fresh(1000));
-  EXPECT_TRUE(crl.is_fresh(1000 + 86400));
-  EXPECT_FALSE(crl.is_fresh(999));
-  EXPECT_FALSE(crl.is_fresh(1000 + 86401));
-}
-
-TEST(Crl, EncodeDecodeRoundTrip) {
-  const auto ca = kp(2);
-  const auto crl = Crl::make("CA-1", 10, 20,
-                             {SerialNumber::from_uint(5),
-                              SerialNumber::from_uint(9)},
-                             ca.seed);
-  const auto dec = Crl::decode(ByteSpan(crl.encode()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->issuer, "CA-1");
-  EXPECT_EQ(dec->revoked.size(), 2u);
-  EXPECT_TRUE(dec->verify(ca.public_key));
-}
-
-TEST(Crl, TamperDetected) {
-  const auto ca = kp(3);
-  auto crl = Crl::make("CA-1", 10, 20, {SerialNumber::from_uint(5)}, ca.seed);
-  crl.revoked.clear();  // hide the revocation
-  EXPECT_FALSE(crl.verify(ca.public_key));
-}
-
-TEST(Crl, SizeScalesLinearly) {
-  // The paper's motivating inefficiency: checking ONE certificate requires
-  // the WHOLE list. 339,557 entries @~4 B serials ≈ multi-MB.
-  const auto ca = kp(4);
-  std::vector<SerialNumber> revoked;
-  for (std::uint64_t i = 0; i < 10'000; ++i) {
-    revoked.push_back(SerialNumber::from_uint(i));
-  }
-  const auto crl = Crl::make("CA-1", 0, 1, revoked, ca.seed);
-  EXPECT_GT(crl.wire_size(), 10'000u * 4u);
-  const auto small = Crl::make("CA-1", 0, 1,
-                               {SerialNumber::from_uint(1)}, ca.seed);
-  EXPECT_LT(small.wire_size(), 200u);
-}
-
-TEST(DeltaCrl, RoundTripAndVerify) {
-  const auto ca = kp(5);
-  const auto d = DeltaCrl::make("CA-1", 100, 200,
-                                {SerialNumber::from_uint(77)}, ca.seed);
-  EXPECT_TRUE(d.verify(ca.public_key));
-  auto tampered = d;
-  tampered.base_this_update = 99;
-  EXPECT_FALSE(tampered.verify(ca.public_key));
-}
-
-// ------------------------------------------------------------- OCSP
-
-TEST(Ocsp, ResponderSignsStatus) {
-  const auto ca = kp(6);
-  OcspResponder responder("CA-1", ca.seed, 7 * 86400);
-  const auto serial = SerialNumber::from_uint(42);
-
-  auto good = responder.respond(serial, 1000);
-  EXPECT_FALSE(good.revoked);
-  EXPECT_TRUE(good.verify(ca.public_key));
-
-  responder.revoke(serial);
-  auto bad = responder.respond(serial, 2000);
-  EXPECT_TRUE(bad.revoked);
-  EXPECT_TRUE(bad.verify(ca.public_key));
-  EXPECT_EQ(responder.queries_served(), 2u);
-}
-
-TEST(Ocsp, ResponseRoundTripAndFreshness) {
-  const auto ca = kp(7);
-  OcspResponder responder("CA-1", ca.seed, 100);
-  const auto resp = responder.respond(SerialNumber::from_uint(1), 1000);
-  const auto dec = OcspResponse::decode(ByteSpan(resp.encode()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_TRUE(dec->verify(ca.public_key));
-  EXPECT_TRUE(dec->is_fresh(1050));
-  EXPECT_FALSE(dec->is_fresh(1101));
-}
-
-TEST(Ocsp, StaplingServesStaleStatusUntilRefresh) {
-  // The §II criticism: a revocation is invisible to clients until the
-  // server deigns to re-fetch — the attack window is the refresh interval.
-  const auto ca = kp(8);
-  OcspResponder responder("CA-1", ca.seed, /*validity=*/7 * 86400);
-  const auto serial = SerialNumber::from_uint(9);
-  StaplingServer server(&responder, serial, /*refresh=*/86400);
-
-  EXPECT_FALSE(server.staple(1000).revoked);
-  responder.revoke(serial);
-  // Still stapling the old "good" response.
-  EXPECT_FALSE(server.staple(1000 + 3600).revoked);
-  EXPECT_EQ(server.responder_fetches(), 1u);
-  // Only after the refresh interval does the truth surface.
-  EXPECT_TRUE(server.staple(1000 + 86400).revoked);
-  EXPECT_EQ(server.responder_fetches(), 2u);
 }
 
 }  // namespace

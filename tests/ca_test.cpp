@@ -117,16 +117,6 @@ TEST(Authority, StatusForAbsentAndRevoked) {
   EXPECT_EQ(ca.status_for(bad, 1005).proof.type, dict::Proof::Type::presence);
 }
 
-TEST(Authority, ManifestIsSigned) {
-  auto ca = make_ca(9);
-  const Bytes m = ca.manifest();
-  ASSERT_GT(m.size(), 64u);
-  const ByteSpan body(m.data(), m.size() - 64);
-  crypto::Signature sig{};
-  std::copy(m.end() - 64, m.end(), sig.begin());
-  EXPECT_TRUE(crypto::verify(body, sig, ca.public_key()));
-}
-
 TEST(Feed, MessageRoundTrip) {
   auto ca = make_ca(10);
   const auto issuance = ca.revoke({cert::SerialNumber::from_uint(1)}, 1000);

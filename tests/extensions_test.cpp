@@ -1,9 +1,8 @@
-// Tests for the §VIII extension features: certificate-chain proofs,
-// bootstrap manifests, and gossip-based consistency checking.
+// Tests for the §VIII extension features: certificate-chain proofs and
+// gossip-based consistency checking.
 #include <gtest/gtest.h>
 
 #include "ca/authority.hpp"
-#include "ca/manifest.hpp"
 #include "client/client.hpp"
 #include "ra/agent.hpp"
 #include "ra/gossip.hpp"
@@ -125,53 +124,6 @@ TEST_F(ChainProofTest, RevokedIntermediateRejected) {
   auto flight = run_handshake(agent, 2010);
   EXPECT_EQ(client.process_server_flight(flight, 2010),
             client::Verdict::revoked);
-}
-
-// ----------------------------------------------------------- manifest
-
-TEST(Manifest, RoundTripAndVerify) {
-  Rng rng(9);
-  crypto::Seed s{};
-  const Bytes b = rng.bytes(32);
-  std::copy(b.begin(), b.end(), s.begin());
-  const auto kp = crypto::keypair_from_seed(s);
-
-  const auto m = ca::Manifest::make("CA-7", 30, 123456, kp);
-  const auto dec = ca::Manifest::decode(ByteSpan(m.encode()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->ca, "CA-7");
-  EXPECT_EQ(dec->delta, 30);
-  EXPECT_EQ(dec->dictionary_size, 123456u);
-  EXPECT_TRUE(dec->verify(kp.public_key));
-}
-
-TEST(Manifest, TamperedDeltaRejected) {
-  Rng rng(10);
-  crypto::Seed s{};
-  const Bytes b = rng.bytes(32);
-  std::copy(b.begin(), b.end(), s.begin());
-  const auto kp = crypto::keypair_from_seed(s);
-  auto m = ca::Manifest::make("CA-7", 30, 1, kp);
-  m.delta = 86400;  // attacker stretches the attack window
-  EXPECT_FALSE(m.verify(kp.public_key));
-}
-
-TEST(Manifest, AuthorityManifestDecodes) {
-  auto ca = make_ca("CA-M", 11);
-  ca.revoke({SerialNumber::from_uint(5)}, 1000);
-  const auto dec = ca::Manifest::decode(ByteSpan(ca.manifest()));
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->ca, "CA-M");
-  EXPECT_EQ(dec->delta, kDelta);
-  EXPECT_EQ(dec->dictionary_size, 1u);
-  EXPECT_TRUE(dec->verify(ca.public_key()));
-}
-
-TEST(Manifest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(ca::Manifest::decode(ByteSpan(Bytes{1, 2, 3})));
-  Rng rng(12);
-  const Bytes noise = rng.bytes(120);
-  EXPECT_FALSE(ca::Manifest::decode(ByteSpan(noise)));
 }
 
 // ----------------------------------------------------------- gossip

@@ -15,7 +15,10 @@ Only ratio metrics (speedups) are gated: absolute rates vary wildly across
 runner hardware, but "the incremental rebuild is N times faster than the
 seed cost model", "the warm status cache is N times faster than proving",
 and "snapshot+WAL restart is N times faster than full feed replay" should
-hold anywhere, so a big drop means a real regression, not a slow VM. A small
+hold anywhere, so a big drop means a real regression, not a slow VM. The
+bench records each GATED ratio as the median of five interleaved trials,
+with its MAD in a `_mad` key next to it, so one slow trial on a shared host
+does not fail the gate. A small
 FLOORS list additionally gates same-run ratios against absolute minimums
 (no baseline needed), and CEILINGS gates same-run ratios against absolute
 maximums (e.g. digest gossip must move <= 0.2x the bytes of full-list
@@ -150,7 +153,9 @@ def main():
         change = (cur - base) / base
         print(f"{path:<45} {base:>10.2f} {cur:>10.2f} {change:>+7.1%}  info")
 
-    for path, floor, label, guard in FLOORS:
+    bounds = [(entry, "floor") for entry in FLOORS] + \
+             [(entry, "ceiling") for entry in CEILINGS]
+    for (path, bound, label, guard), kind in bounds:
         cur = lookup(current, path)
         if cur is None:
             print(f"{path:<45} {'-':>10} {'-':>10} {'':>8}  "
@@ -162,33 +167,16 @@ def main():
             guard_val = lookup(current, guard_path)
             if guard_val is None or guard_val < guard_min:
                 shown = "-" if guard_val is None else f"{guard_val:.0f}"
-                print(f"{path:<45} {floor:>10.2f} {cur:>10.2f} {'':>8}  "
+                print(f"{path:<45} {bound:>10.2f} {cur:>10.2f} {'':>8}  "
                       f"SKIPPED (guard: {guard_path}={shown} < {guard_min})")
                 continue
-        ok = cur >= floor
-        flag = "ok" if ok else f"FAIL (< floor {floor:.2f})"
-        print(f"{path:<45} {floor:>10.2f} {cur:>10.2f} {'':>8}  {flag}")
-        if not ok:
-            failed = True
-
-    for path, ceiling, label, guard in CEILINGS:
-        cur = lookup(current, path)
-        if cur is None:
-            print(f"{path:<45} {'-':>10} {'-':>10} {'':>8}  "
-                  f"FAIL (missing from current run)")
-            failed = True
-            continue
-        if guard is not None:
-            guard_path, guard_min = guard
-            guard_val = lookup(current, guard_path)
-            if guard_val is None or guard_val < guard_min:
-                shown = "-" if guard_val is None else f"{guard_val:.0f}"
-                print(f"{path:<45} {ceiling:>10.2f} {cur:>10.2f} {'':>8}  "
-                      f"SKIPPED (guard: {guard_path}={shown} < {guard_min})")
-                continue
-        ok = cur <= ceiling
-        flag = "ok" if ok else f"FAIL (> ceiling {ceiling:.2f})"
-        print(f"{path:<45} {ceiling:>10.2f} {cur:>10.2f} {'':>8}  {flag}")
+        if kind == "floor":
+            ok = cur >= bound
+            flag = "ok" if ok else f"FAIL (< floor {bound:.2f})"
+        else:
+            ok = cur <= bound
+            flag = "ok" if ok else f"FAIL (> ceiling {bound:.2f})"
+        print(f"{path:<45} {bound:>10.2f} {cur:>10.2f} {'':>8}  {flag}")
         if not ok:
             failed = True
 
